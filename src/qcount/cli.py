@@ -25,6 +25,7 @@ from .grover import GroverProblem, grover_angle, marked_count
 from .oracles import ExplicitSetOracle, parse_oracle
 from .pea import PEAConfig, PEAResult, pea_cost, run_pea
 from .simple_count import (
+    ENGINES,
     CountEstimate,
     CountingConfig,
     ensure_minority,
@@ -373,12 +374,17 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     def closed_form_matches_simulation():
         problem = GroverProblem(3, ExplicitSetOracle(3, (7,)))
         angle = grover_angle(8, 1)
+        simulated = []
         for k in range(0, 4):
             state = step_state(problem, k)
             p1 = float(np.sum(np.abs(state.amplitudes[8:]) ** 2))
             assert abs(p1 - p1_exact(k, angle)) < 1e-10
             coeffs = circuit_state_closed_form(k, angle)
             assert abs(sum(c * c for c in coeffs) - 1.0) < 1e-12
+            simulated.append(p1)
+        est = run_simple_count(problem, CountingConfig(engine="statevector", max_k=3))
+        for step in est.trace:
+            assert abs(step.p1_hat - simulated[step.k]) < 1e-10
 
     def engines_agree():
         problem = GroverProblem(3, ExplicitSetOracle(3, (7,)))
@@ -428,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_threshold=True, with_t=True):
         p.add_argument("--shots", type=int, default=0,
                        help="measurements per step; 0 = exact probabilities (default 0)")
-        p.add_argument("--engine", choices=("analytic", "statevector"), default="analytic")
+        p.add_argument("--engine", choices=ENGINES, default="analytic")
         if with_threshold:
             p.add_argument("--threshold", type=float, default=0.5,
                            help="halting probability for the simple algorithm (default 0.5)")

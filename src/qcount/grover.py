@@ -5,19 +5,23 @@ reflection about the uniform superposition. With M of N = 2**n basis
 states marked, G rotates by the angle theta, where sin(theta/2) = sqrt(M/N),
 in the plane spanned by the uniform superpositions of the unmarked and
 marked states.
+
+Both estimators depend on the oracle only through the overlap sequence
+a(d) = <s|G**d|s>, with |s> the uniform superposition: `grover_overlaps`
+computes it by walking G**d|s> on a real vector of N amplitudes, while the
+controlled-power functions here simulate the circuits gate by gate and serve
+as references for it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .oracles import Oracle, marked_indices
+from .oracles import _CHUNK, Oracle, marked_indices
 from .statevector import Statevector, apply_diffusion, apply_phase_flip, controlled_apply
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,28 @@ def controlled_grover_power(
     for _ in range(repetitions):
         controlled_apply(state, control, register, action)
     return state
+
+
+def grover_overlaps(problem: GroverProblem) -> Iterator[float]:
+    """The overlaps a(d) = <s|G**d|s> for d = 0, 1, 2, ..., computed lazily.
+
+    The oracle flip and the diffusion have real matrix elements, so the walk
+    holds G**d applied to the all-ones vector sqrt(N)|s> as N float64 reals,
+    and a(d) is that vector's mean. Each step is a sign flip on the marked
+    entries, built once from the oracle, then v <- 2*mean(v) - v. The
+    reflection keeps the mean, so a(d+1) is the mean of the flipped vector,
+    which the reflection needs anyway. Step d+1 runs only when a(d+1) is
+    requested.
+    """
+    N = problem.N
+    marked = problem.oracle.select(np.arange(N, dtype=np.int64))
+    v = np.ones(N)
+    overlap = 1.0
+    while True:
+        yield overlap
+        np.negative(v, out=v, where=marked)
+        overlap = float(np.add.reduce(v)) / N
+        np.subtract(2.0 * overlap, v, out=v)
 
 
 def build_eigenstate(problem: GroverProblem, sign: int) -> Statevector:

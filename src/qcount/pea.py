@@ -4,6 +4,10 @@ A t-qubit control register drives a ladder of controlled-Grover powers
 (control qubit j gates 2**j iterations), an inverse QFT maps the
 accumulated phase back to a basis state, and measuring the register yields
 either j ~ phi * 2**t or its mirror (2**t - j), both encoding the same M.
+
+The statevector engine computes the outcome distribution from the overlaps
+a(0..2**t - 1) of `grover_overlaps` with one FFT; `pea_state` simulates the
+full (n+t)-qubit circuit and is kept as the gate-level reference.
 """
 from __future__ import annotations
 
@@ -14,9 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import pea_distribution
-from .grover import GroverProblem, controlled_grover_power, grover_angle, marked_count
-from .simple_count import halt_bound
+from .grover import (
+    GroverProblem,
+    controlled_grover_power,
+    grover_angle,
+    grover_overlaps,
+    marked_count,
+)
+from .simple_count import ENGINES, halt_bound
 from .statevector import (
+    _MASK64,
     MAX_QUBITS_ENV,
     ResourceLimitError,
     Statevector,
@@ -24,11 +35,7 @@ from .statevector import (
     apply_hadamard,
     init_basis,
     max_qubits,
-    register_probabilities,
 )
-
-ENGINES = ("analytic", "statevector")
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -123,6 +130,29 @@ def inverse_qft(state: Statevector, register: Sequence[int]) -> Statevector:
     return state
 
 
+def _check_circuit_width(n: int, t: int) -> None:
+    if n + t > max_qubits():
+        raise ResourceLimitError(
+            f"circuit needs {n + t} qubits ({n} computation + {t} control), "
+            f"above the dense-simulation cap of {max_qubits()} "
+            f"(override with {MAX_QUBITS_ENV})"
+        )
+
+
+def _overlap_distribution(overlaps: np.ndarray) -> np.ndarray:
+    """Register outcome distribution from the Grover overlaps a(0..2**t - 1).
+
+    P(j) = 4**-t * sum over |d| < 2**t of (2**t - |d|) * a(d) * exp(-2*pi*i*j*d/2**t).
+    a(-d) = a(d), so the negative lags are the conjugate of the positive
+    ones and one FFT of the non-negative lags gives P. Outcomes of exact
+    probability 0 can come out a rounding error below 0; they are clamped so
+    the distribution can be sampled.
+    """
+    size = overlaps.shape[0]
+    lags = np.fft.fft((size - np.arange(size)) * overlaps)
+    return np.maximum((2.0 * lags.real - size * overlaps[0]) / float(size * size), 0.0)
+
+
 def pea_state(problem: GroverProblem, t: int) -> Statevector:
     """State of the full estimation circuit just before the register-1 measurement.
 
@@ -130,15 +160,9 @@ def pea_state(problem: GroverProblem, t: int) -> Statevector:
     register qubits n..n+t-1 (control n+j gates G**(2**j)).
     """
     n = problem.n
-    width = n + t
-    if width > max_qubits():
-        raise ResourceLimitError(
-            f"circuit needs {width} qubits ({n} computation + {t} control), "
-            f"above the dense-simulation cap of {max_qubits()} "
-            f"(override with {MAX_QUBITS_ENV})"
-        )
-    state = init_basis(width, 0)
-    for q in range(width):
+    _check_circuit_width(n, t)
+    state = init_basis(n + t, 0)
+    for q in range(n + t):
         apply_hadamard(state, q)
     computation = list(range(n))
     for j in range(t):
@@ -183,8 +207,10 @@ def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:
     if config.engine == "analytic":
         probs = pea_distribution(config.t, grover_angle(N, M))
     else:
-        state = pea_state(problem, config.t)
-        probs = register_probabilities(state, [problem.n + i for i in range(config.t)])
+        # The cap counts the control register, as the simulated circuit does.
+        _check_circuit_width(problem.n, config.t)
+        overlaps = np.fromiter(grover_overlaps(problem), dtype=np.float64, count=1 << config.t)
+        probs = _overlap_distribution(overlaps)
 
     if config.shots > 0:
         rng = np.random.default_rng(config.seed & _MASK64)

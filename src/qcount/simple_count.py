@@ -6,6 +6,11 @@ superposition, applies a final Hadamard to that qubit and measures it.
 The loop stops at the first step whose estimated p1 reaches the halting
 threshold; classical post-processing inverts that step's p(k) = p0 - p1 =
 cos(2**k * theta) back to theta and M = N*sin^2(theta/2).
+
+Step k's p1 is (1 - a(2**k))/2 with a(d) = <s|G**d|s>: the analytic engine
+evaluates a(d) = cos(d*theta), the statevector engine walks it with
+`grover_overlaps`. `step_state` simulates the full (n+1)-qubit circuit and
+is kept as the gate-level reference.
 """
 from __future__ import annotations
 
@@ -13,11 +18,18 @@ import math
 from dataclasses import dataclass
 
 from .analytic import p1_exact
-from .grover import GroverProblem, controlled_grover_power, grover_angle, marked_count
+from .grover import (
+    GroverProblem,
+    controlled_grover_power,
+    grover_angle,
+    grover_overlaps,
+    marked_count,
+)
 from .oracles import ExplicitSetOracle, marked_indices
 from .statevector import (
     Statevector,
     apply_hadamard,
+    check_width,
     derive_seed,
     init_basis,
     probability_of_one,
@@ -179,16 +191,22 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
         raise ValueError(
             f"marked fraction {M}/{N} is not a minority; apply ensure_minority first"
         )
-    angle = grover_angle(N, M) if config.engine == "analytic" else None
+    if config.engine == "analytic":
+        angle = grover_angle(N, M)
+    else:
+        # The cap counts the measurement qubit, as the simulated circuit does.
+        check_width(problem.n + 1)
+        overlaps = enumerate(grover_overlaps(problem))
     max_k = config.max_k if config.max_k is not None else default_max_k(problem.n)
 
     trace: list[StepOutcome] = []
     halted = False
     for k in range(max_k + 1):
-        if angle is not None:
+        if config.engine == "analytic":
             p1 = p1_exact(k, angle)
         else:
-            p1 = step_probability_one(problem, k)
+            overlap = next(a for d, a in overlaps if d == 1 << k)
+            p1 = 0.5 * (1.0 - overlap)
         if config.shots > 0:
             ones = sample_bit(_clamp(p1, 0.0, 1.0), config.shots, derive_seed(config.seed, k))
             p1_hat = ones / config.shots

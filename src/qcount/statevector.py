@@ -30,7 +30,21 @@ class ResourceLimitError(RuntimeError):
 def max_qubits() -> int:
     """Dense statevector width cap; override with the QCOUNT_MAX_QUBITS env var."""
     value = os.environ.get(MAX_QUBITS_ENV)
-    return int(value) if value else DEFAULT_MAX_QUBITS
+    if not value:
+        return DEFAULT_MAX_QUBITS
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{MAX_QUBITS_ENV}={value!r} is not an integer qubit count") from None
+
+
+def check_width(num_qubits: int) -> None:
+    """Refuse a circuit wider than the dense-simulation cap with ResourceLimitError."""
+    if num_qubits > max_qubits():
+        raise ResourceLimitError(
+            f"{num_qubits} qubits exceeds the dense-simulation cap of "
+            f"{max_qubits()} (override with {MAX_QUBITS_ENV})"
+        )
 
 
 @dataclass(eq=False, repr=False)
@@ -83,11 +97,7 @@ def init_basis(num_qubits: int, basis_index: int) -> Statevector:
     """Statevector prepared in the computational basis state ``|basis_index>``."""
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    if num_qubits > max_qubits():
-        raise ResourceLimitError(
-            f"{num_qubits} qubits exceeds the dense-simulation cap of "
-            f"{max_qubits()} (override with {MAX_QUBITS_ENV})"
-        )
+    check_width(num_qubits)
     if not 0 <= basis_index < (1 << num_qubits):
         raise ValueError(
             f"basis_index {basis_index} out of range for {num_qubits} qubits"

@@ -226,3 +226,12 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "5/5 checks passed" in out
+
+
+def test_invalid_width_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("QCOUNT_MAX_QUBITS", "abc")
+    code, _, err = run_cli(
+        capsys, "run", "--algo", "simple", "--n", "3", "--oracle", "set:1",
+        "--engine", "statevector",
+    )
+    assert code == 2 and "QCOUNT_MAX_QUBITS" in err and "abc" in err

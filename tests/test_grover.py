@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qcount.grover import (
     GroverProblem,
@@ -9,9 +10,10 @@ from qcount.grover import (
     build_eigenstate,
     controlled_grover_power,
     grover_angle,
+    grover_overlaps,
     marked_count,
 )
-from qcount.oracles import BitPatternOracle, ExplicitSetOracle
+from qcount.oracles import BitPatternOracle, ExplicitSetOracle, marked_indices
 from qcount.statevector import Statevector, apply_hadamard, init_basis, probability_of_one
 
 import dense_ref
@@ -207,3 +209,33 @@ def test_marked_count_bit_pattern_combinatorics():
         mask = int(rng.integers(0, 1 << n))
         problem = GroverProblem(n, BitPatternOracle(n, mask))
         assert marked_count(problem) == 1 << (n - bin(mask).count("1"))
+
+
+def first_overlaps(problem, count):
+    return np.fromiter(grover_overlaps(problem), dtype=np.float64, count=count)
+
+
+@st.composite
+def marked_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    marked = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1)))
+    return n, tuple(marked)
+
+
+@given(marked_sets())
+def test_overlap_walk_is_cosine_of_grover_angle(case):
+    n, marked = case
+    problem = GroverProblem(n, ExplicitSetOracle(n, marked))
+    theta = grover_angle(problem.N, len(marked)).theta
+    expected = np.cos(np.arange(128) * theta)
+    assert np.max(np.abs(first_overlaps(problem, 128) - expected)) < 1e-12
+
+
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))))
+def test_mask_and_set_oracles_give_identical_overlaps(case):
+    n, mask = case
+    pattern = BitPatternOracle(n, mask)
+    explicit = ExplicitSetOracle(n, tuple(int(i) for i in marked_indices(pattern)))
+    assert np.array_equal(first_overlaps(GroverProblem(n, pattern), 128),
+                          first_overlaps(GroverProblem(n, explicit), 128))

@@ -223,3 +223,26 @@ def test_zero_marked_reads_zero():
     res = run_pea(GroverProblem(3, ExplicitSetOracle(3, ())), PEAConfig(t=3))
     assert res.best_pair == (0, 0)
     assert res.m_hat == 0.0
+
+
+def test_overlap_engine_matches_gate_level_reference():
+    for n in range(1, 5):
+        N = 1 << n
+        for M in range(1, N // 2 + 1):
+            problem = GroverProblem(n, ExplicitSetOracle(n, tuple(range(N - M, N))))
+            for t in range(1, 6):
+                res = run_pea(problem, PEAConfig(t=t, engine="statevector"))
+                reference = register_probabilities(pea_state(problem, t),
+                                                   [n + i for i in range(t)])
+                assert np.max(np.abs(res.histogram - reference)) < 1e-10
+
+
+@pytest.mark.parametrize("marked,t", [((0, 1, 2, 3), 3), ((0, 1, 2, 3), 4), ((), 4)])
+def test_statevector_sampling_at_exact_phases(marked, t):
+    # Exact phases leave outcomes of probability 0, which the overlap FFT
+    # can return a rounding error below 0.
+    problem = GroverProblem(3, ExplicitSetOracle(3, marked))
+    exact = run_pea(problem, PEAConfig(t=t, engine="statevector"))
+    assert exact.histogram.min() >= 0.0
+    res = run_pea(problem, PEAConfig(t=t, shots=64, engine="statevector"))
+    assert res.histogram.sum() == 64

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qcount.analytic import p1_exact
 from qcount.grover import GroverProblem, grover_angle, marked_count
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
+from qcount.statevector import ResourceLimitError
 from qcount.simple_count import (
     CountingConfig,
     default_max_k,
@@ -263,3 +264,23 @@ def test_config_validation():
         CountingConfig(engine="qasm")
     with pytest.raises(ValueError):
         CountingConfig(max_k=0)
+
+
+def test_overlap_engine_matches_gate_level_reference():
+    rng = np.random.default_rng(2019)
+    for n in range(1, 9):
+        N = 1 << n
+        for M in range(1, N // 2):
+            marked = tuple(int(i) for i in rng.choice(N, size=M, replace=False))
+            problem = GroverProblem(n, ExplicitSetOracle(n, marked))
+            simulated = run_simple_count(problem, CountingConfig(engine="statevector"))
+            assert simulated.k_final == run_simple_count(problem).k_final
+            for step in simulated.trace:
+                assert abs(step.p1_hat - step_probability_one(problem, step.k)) < 1e-10
+
+
+def test_statevector_width_cap_counts_measurement_qubit(monkeypatch):
+    monkeypatch.setenv("QCOUNT_MAX_QUBITS", "4")
+    run_simple_count(first_m_problem(3, 1), CountingConfig(engine="statevector"))
+    with pytest.raises(ResourceLimitError, match="5 qubits"):
+        run_simple_count(first_m_problem(4, 1), CountingConfig(engine="statevector"))

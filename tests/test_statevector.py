@@ -13,6 +13,7 @@ from qcount.statevector import (
     controlled_apply,
     derive_seed,
     init_basis,
+    max_qubits,
     probability_of_one,
     register_probabilities,
     sample_bit,
@@ -253,3 +254,9 @@ def test_norm_preserved_under_random_gate_sequences():
         else:
             apply_diffusion(state, [0, 1, 2])
         assert abs(state.norm() - 1.0) < 1e-10
+
+
+def test_invalid_width_cap_names_variable(monkeypatch):
+    monkeypatch.setenv("QCOUNT_MAX_QUBITS", "abc")
+    with pytest.raises(ValueError, match="QCOUNT_MAX_QUBITS='abc'"):
+        max_qubits()
