@@ -431,16 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_threshold=True, with_t=True):
+    def add_common(p):
         p.add_argument("--shots", type=int, default=0,
                        help="measurements per step; 0 = exact probabilities (default 0)")
         p.add_argument("--engine", choices=ENGINES, default="analytic")
-        if with_threshold:
-            p.add_argument("--threshold", type=float, default=0.5,
-                           help="halting probability for the simple algorithm (default 0.5)")
-        if with_t:
-            p.add_argument("--t", type=int, default=None,
-                           help="estimation-register width (pea only)")
+        p.add_argument("--threshold", type=float, default=0.5,
+                       help="halting probability for the simple algorithm (default 0.5)")
+        p.add_argument("--t", type=int, default=None,
+                       help="estimation-register width (pea only)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output file (default stdout)")
 

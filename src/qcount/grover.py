@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .oracles import _CHUNK, Oracle, marked_indices
+from .oracles import Oracle, marked_indices
 from .statevector import Statevector, apply_diffusion, apply_phase_flip, controlled_apply
 
 
@@ -135,9 +135,5 @@ def build_eigenstate(problem: GroverProblem, sign: int) -> Statevector:
 
 
 def marked_count(problem: GroverProblem) -> int:
-    """Number of marked basis states, by exhaustive (chunked) enumeration."""
-    total = 0
-    for lo in range(0, problem.N, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, problem.N), dtype=np.int64)
-        total += int(problem.oracle.select(xs).sum())
-    return total
+    """Number of marked basis states M, in closed form from the oracle."""
+    return problem.oracle.count()

@@ -3,7 +3,9 @@
 An oracle marks a subset of the ``2**n`` basis indices of an n-qubit
 register; the engine turns it into a conditional phase flip. Two forms are
 supported: an explicit index set, and a bit-pattern mask that marks every
-index whose bits are 1 at all positions set in the mask.
+index whose bits are 1 at all positions set in the mask. Each form counts
+its marked states (`count`) and widens itself to n+1 qubits with the same
+count (`widened`) in closed form; n <= 62, so N and every index fit in int64.
 """
 from __future__ import annotations
 
@@ -16,6 +18,11 @@ import numpy as np
 _CHUNK = 1 << 20
 
 
+def _check_n(n: int) -> None:
+    if not 1 <= n <= 62:
+        raise ValueError(f"n must be in [1, 62] (the int64 basis-index limit), got {n}")
+
+
 def _check_index(x: int, n: int) -> None:
     if not 0 <= x < (1 << n):
         raise ValueError(f"basis index {x} out of range for {n} qubits")
@@ -23,14 +30,15 @@ def _check_index(x: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class ExplicitSetOracle:
-    """Marks an explicit set of basis indices (stored sorted, deduplicated)."""
+    """Marks an explicit set of basis indices (stored sorted, deduplicated).
+
+    Widening keeps the indices, so the new top-bit-1 half is unmarked."""
 
     n: int
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_n(self.n)
         idx = tuple(sorted({int(i) for i in self.indices}))
         for i in idx:
             _check_index(i, self.n)
@@ -45,20 +53,28 @@ class ExplicitSetOracle:
     def select(self, xs: np.ndarray) -> np.ndarray:
         return np.isin(xs, self._array)
 
+    def count(self) -> int:
+        return len(self.indices)
+
+    def widened(self) -> ExplicitSetOracle:
+        return ExplicitSetOracle(self.n + 1, self.indices)
+
     def spec_text(self) -> str:
         return "set:" + ",".join(str(i) for i in self.indices)
 
 
 @dataclass(frozen=True)
 class BitPatternOracle:
-    """Marks every index whose bits are 1 at all positions set in ``mask``."""
+    """Marks every index whose bits are 1 at all positions set in ``mask``.
+
+    Widening adds the new top bit to the mask: the marked states move into
+    the top-bit-1 half and keep their number."""
 
     n: int
     mask: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_n(self.n)
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask:#x} does not fit in {self.n} bits")
 
@@ -69,6 +85,12 @@ class BitPatternOracle:
     def select(self, xs: np.ndarray) -> np.ndarray:
         return (xs & self.mask) == self.mask
 
+    def count(self) -> int:
+        return 1 << (self.n - self.mask.bit_count())
+
+    def widened(self) -> BitPatternOracle:
+        return BitPatternOracle(self.n + 1, self.mask | (1 << self.n))
+
     def spec_text(self) -> str:
         return f"mask:{self.mask:#x}"
 
@@ -78,9 +100,7 @@ Oracle = Union[ExplicitSetOracle, BitPatternOracle]
 
 def pattern_marked_count(n: int, mask: int) -> int:
     """Closed-form marked count of a bit-pattern oracle: 2**(n - popcount(mask))."""
-    if not 0 <= mask < (1 << n):
-        raise ValueError(f"mask {mask:#x} does not fit in {n} bits")
-    return 1 << (n - mask.bit_count())
+    return BitPatternOracle(n, mask).count()
 
 
 def marked_indices(oracle: Oracle) -> np.ndarray:

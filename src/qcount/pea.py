@@ -76,11 +76,8 @@ class PEAResult:
 
     @property
     def best_pair_probability(self) -> float:
-        low = min(self.best_pair)
-        for lo, _, prob in self.paired_prob:
-            if lo == low:
-                return prob
-        raise AssertionError("best_pair missing from paired_prob")
+        # paired_prob is built in order of its low members 0, 1, ..., 2**(t-1).
+        return self.paired_prob[self.best_pair[0]][2]
 
     @property
     def controlled_grover_cost(self) -> int:
@@ -183,11 +180,7 @@ def _mirror_pairs(fractions: np.ndarray, t: int) -> tuple[tuple[int, int, float]
 
 def _best_pair(pairs: tuple[tuple[int, int, float], ...]) -> tuple[int, int, float]:
     """Pair with maximal probability; exact ties go to the smaller phase."""
-    best = pairs[0]
-    for candidate in pairs[1:]:
-        if candidate[2] > best[2]:
-            best = candidate
-    return best
+    return max(pairs, key=lambda pair: pair[2])
 
 
 def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:

@@ -25,7 +25,6 @@ from .grover import (
     grover_overlaps,
     marked_count,
 )
-from .oracles import ExplicitSetOracle, marked_indices
 from .statevector import (
     Statevector,
     apply_hadamard,
@@ -144,16 +143,15 @@ def optimal_grover_iterations(theta: float) -> int:
 
 
 def ensure_minority(problem: GroverProblem) -> GroverProblem:
-    """Double the search space (add a qubit, keep the marked set) until M/N < 1/2.
+    """Double the search space (add a qubit, keep M) until M/N < 1/2.
 
-    The new top-bit-1 states are unmarked, which a bit-pattern mask cannot
-    express, so doubling materializes the marked set as an explicit oracle.
-    M = N needs two doublings; anything else at most one.
+    Each doubling widens the oracle by one qubit (`widened`): an explicit set
+    keeps its indices, a bit-pattern mask gains the new top bit. M = N needs
+    two doublings; anything else at most one.
     """
     current = problem
     while 2 * marked_count(current) >= current.N:
-        indices = tuple(int(i) for i in marked_indices(current.oracle))
-        current = GroverProblem(current.n + 1, ExplicitSetOracle(current.n + 1, indices))
+        current = GroverProblem(current.n + 1, current.oracle.widened())
     return current
 
 

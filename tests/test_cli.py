@@ -12,6 +12,9 @@ from qcount.cli import (
     SWEEP_CSV_HEADER,
     main,
 )
+from qcount.grover import GroverProblem
+from qcount.oracles import BitPatternOracle, ExplicitSetOracle
+from qcount.pea import PEAConfig, run_pea
 from qcount.simple_count import halt_bound
 
 
@@ -235,3 +238,30 @@ def test_invalid_width_cap_exits_2(monkeypatch, capsys):
         "--engine", "statevector",
     )
     assert code == 2 and "QCOUNT_MAX_QUBITS" in err and "abc" in err
+
+
+def test_width_above_62_bits_exits_2(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--algo", "simple", "--n", "64", "--oracle", "set:0x8000000000000000",
+    )
+    assert code == 2 and "62" in err
+
+
+def test_analytic_runs_never_enumerate(monkeypatch, capsys):
+    def refuse(self, xs):
+        raise AssertionError("the analytic engine enumerated the search space")
+
+    for cls in (ExplicitSetOracle, BitPatternOracle):
+        monkeypatch.setattr(cls, "select", refuse)
+    for spec, M, n_run in (("mask:0xfffffffffffffff", 1, 60), ("set:1,5,99", 3, 60),
+                           ("mask:0x1", 1 << 59, 61)):
+        code, out, _ = run_cli(capsys, "run", "--algo", "simple", "--n", "60", "--oracle", spec)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["spec"]["M"] == M and payload["spec"]["n_run"] == n_run
+        assert abs(payload["result"]["m_hat"] - M) <= 1e-6 * M
+
+    # M/N = 1/2 puts the phase at exactly 1/4, read off as the pair {2, 6} at t=3.
+    res = run_pea(GroverProblem(60, BitPatternOracle(60, 1)), PEAConfig(t=3))
+    assert res.best_pair == (2, 6)
+    assert abs(res.m_hat - (1 << 59)) <= 1e-6 * (1 << 59)

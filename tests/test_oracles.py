@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qcount.oracles import (
     BitPatternOracle,
@@ -95,3 +96,32 @@ def test_spec_text_roundtrip():
         oracle = parse_oracle(text, n)
         again = parse_oracle(oracle.spec_text(), n)
         assert again == oracle
+
+
+def test_width_above_62_bits_is_refused():
+    for make in (lambda n: ExplicitSetOracle(n, ()), lambda n: BitPatternOracle(n, 0)):
+        assert make(62).n == 62
+        with pytest.raises(ValueError, match="62"):
+            make(63)
+
+
+@st.composite
+def oracles(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    if draw(st.booleans()):
+        return BitPatternOracle(n, draw(st.integers(min_value=0, max_value=(1 << n) - 1)))
+    marked = draw(st.sets(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=64))
+    return ExplicitSetOracle(n, tuple(marked))
+
+
+@given(oracles())
+def test_count_and_widening_match_enumeration(oracle):
+    once = oracle.widened()
+    for current in (oracle, once, once.widened()):
+        assert current.count() == marked_indices(current).size
+    assert once.n == oracle.n + 1
+    if isinstance(oracle, ExplicitSetOracle):
+        assert once.indices == oracle.indices
+    else:
+        top = 1 << oracle.n
+        assert np.array_equal(marked_indices(once), marked_indices(oracle) + top)
