@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -82,24 +83,33 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # ---------------------------------------------------------------------------
 # run
 
-def _spec_echo(args, problem: GroverProblem, requested_n: int, M: int) -> dict:
+def _spec_echo(args, problem: GroverProblem) -> dict:
+    """The run's spec as JSON prints it; its keys name the run CSV's spec columns."""
     echo = {
         "algorithm": args.algo,
-        "n": requested_n,
+        "n": args.n,
         "oracle": args.oracle,
         "shots": args.shots,
         "engine": args.engine,
         "seed": args.seed,
-        "doubled": problem.n != requested_n,
+        "doubled": problem.n != args.n,
         "n_run": problem.n,
         "N": problem.N,
-        "M": M,
+        "M": marked_count(problem),
     }
     if args.algo == "simple":
         echo["threshold"] = args.threshold
     else:
         echo["t"] = args.t
     return echo
+
+
+def _execute(args, problem: GroverProblem, seed: int) -> CountEstimate | PEAResult:
+    """Run --algo on problem with the shared estimator flags and the given seed."""
+    shared = {"shots": args.shots, "engine": args.engine, "seed": seed}
+    if args.algo == "simple":
+        return run_simple_count(problem, CountingConfig(threshold=args.threshold, **shared))
+    return run_pea(problem, PEAConfig(t=args.t, **shared))
 
 
 def _estimate_json(est: CountEstimate) -> dict:
@@ -118,8 +128,18 @@ def _estimate_json(est: CountEstimate) -> dict:
     }
 
 
+def _estimate_cells(est: CountEstimate) -> dict:
+    """CSV cells of a simple result, keyed by run and sweep column name."""
+    p1 = est.trace[-1].p1_hat
+    return {
+        "k_final": est.k_final, "p1_final": p1, "theta_hat": est.theta_hat,
+        "m_hat": est.m_hat, "optimal_iterations": est.optimal_iterations,
+        "halted_on_threshold": est.halted_on_threshold, "cost": est.controlled_grover_cost,
+        "k_or_t": est.k_final, "probability": p1,
+    }
+
+
 def _pea_json(res: PEAResult) -> dict:
-    histogram = res.histogram.tolist()
     return {
         "m_hat": res.m_hat,
         "phi_hat": res.phi_hat,
@@ -127,48 +147,38 @@ def _pea_json(res: PEAResult) -> dict:
         "best_pair": list(res.best_pair),
         "best_pair_probability": res.best_pair_probability,
         "paired_prob": [[lo, hi, prob] for lo, hi, prob in res.paired_prob],
-        "histogram": histogram,
+        "histogram": res.histogram.tolist(),
         "controlled_grover_cost": res.controlled_grover_cost,
     }
 
 
-def cmd_run(args) -> int:
-    oracle = parse_oracle(args.oracle, args.n)
-    problem = ensure_minority(GroverProblem(args.n, oracle))
-    M = marked_count(problem)
-    echo = _spec_echo(args, problem, args.n, M)
+def _pea_cells(res: PEAResult) -> dict:
+    """CSV cells of a pea result, keyed by run and sweep column name."""
+    return {
+        "best_pair_lo": res.best_pair[0], "best_pair_hi": res.best_pair[1],
+        "pair_probability": res.best_pair_probability, "phi_hat": res.phi_hat,
+        "m_hat": res.m_hat, "cost": res.controlled_grover_cost,
+        "k_or_t": res.t, "probability": res.best_pair_probability,
+    }
 
-    if args.algo == "simple":
-        config = CountingConfig(
-            threshold=args.threshold, shots=args.shots, engine=args.engine, seed=args.seed
-        )
-        est = run_simple_count(problem, config)
-        if args.format == "json":
-            text = json.dumps({"spec": echo, "result": _estimate_json(est)}, indent=2) + "\n"
-        else:
-            last = est.trace[-1]
-            row = [
-                "simple", args.n, problem.n, problem.N, M, args.oracle, args.engine,
-                args.shots, args.seed, args.threshold, est.k_final, last.p1_hat,
-                est.theta_hat, est.m_hat, est.optimal_iterations,
-                est.halted_on_threshold, est.controlled_grover_cost,
-            ]
-            text = _csv_text(RUN_CSV_HEADER_SIMPLE, [row])
+
+# --algo -> (run CSV header, JSON result, CSV cells)
+_READOUTS = {
+    "simple": (RUN_CSV_HEADER_SIMPLE, _estimate_json, _estimate_cells),
+    "pea": (RUN_CSV_HEADER_PEA, _pea_json, _pea_cells),
+}
+
+
+def cmd_run(args) -> int:
+    problem = ensure_minority(GroverProblem(args.n, parse_oracle(args.oracle, args.n)))
+    echo = _spec_echo(args, problem)
+    result = _execute(args, problem, args.seed)
+    header, to_json, to_cells = _READOUTS[args.algo]
+    if args.format == "json":
+        text = json.dumps({"spec": echo, "result": to_json(result)}, indent=2) + "\n"
     else:
-        if args.t is None:
-            raise ValueError("--t is required for --algo pea")
-        config = PEAConfig(t=args.t, shots=args.shots, engine=args.engine, seed=args.seed)
-        res = run_pea(problem, config)
-        if args.format == "json":
-            text = json.dumps({"spec": echo, "result": _pea_json(res)}, indent=2) + "\n"
-        else:
-            row = [
-                "pea", args.n, problem.n, problem.N, M, args.oracle, args.engine,
-                args.shots, args.seed, args.t, res.best_pair[0], res.best_pair[1],
-                res.best_pair_probability, res.phi_hat, res.m_hat,
-                res.controlled_grover_cost,
-            ]
-            text = _csv_text(RUN_CSV_HEADER_PEA, [row])
+        row = {**echo, **to_cells(result)}
+        text = _csv_text(header, [[row[key] for key in header]])
     _write_text(text, args.out)
     return 0
 
@@ -186,43 +196,22 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def cmd_sweep(args) -> int:
     n_values = _parse_int_list(args.n_values, "--n-values")
     m_values = _parse_int_list(args.m_values, "--m-values")
-    if args.algo == "pea" and args.t is None:
-        raise ValueError("--t is required for --algo pea")
+    _, _, to_cells = _READOUTS[args.algo]
 
     rows = []
-    index = 0
-    for n in n_values:
-        for M_requested in m_values:
-            seed = derive_seed(args.seed, index)
-            started = time.perf_counter()
-            try:
-                oracle = ExplicitSetOracle(n, tuple(range(M_requested)))
-                problem = ensure_minority(GroverProblem(n, oracle))
-                if args.algo == "simple":
-                    est = run_simple_count(problem, CountingConfig(
-                        threshold=args.threshold, shots=args.shots,
-                        engine=args.engine, seed=seed,
-                    ))
-                    k_or_t = est.k_final
-                    probability = est.trace[-1].p1_hat
-                    m_hat = est.m_hat
-                    cost = est.controlled_grover_cost
-                else:
-                    res = run_pea(problem, PEAConfig(
-                        t=args.t, shots=args.shots, engine=args.engine, seed=seed,
-                    ))
-                    k_or_t = args.t
-                    probability = res.best_pair_probability
-                    m_hat = res.m_hat
-                    cost = res.controlled_grover_cost
-                error = ""
-            except (ValueError, ResourceLimitError) as exc:
-                k_or_t = probability = m_hat = cost = None
-                error = str(exc)
-            wall = format(time.perf_counter() - started, ".6f") if args.timing else ""
-            rows.append([index, n, M_requested, args.algo, k_or_t, probability,
-                         m_hat, cost, seed, wall, error])
-            index += 1
+    for index, (n, M_requested) in enumerate(itertools.product(n_values, m_values)):
+        seed = derive_seed(args.seed, index)
+        started = time.perf_counter()
+        try:
+            oracle = ExplicitSetOracle(n, tuple(range(M_requested)))
+            problem = ensure_minority(GroverProblem(n, oracle))
+            cells, error = to_cells(_execute(args, problem, seed)), ""
+        except (ValueError, ResourceLimitError) as exc:
+            cells, error = {}, str(exc)
+        wall = format(time.perf_counter() - started, ".6f") if args.timing else ""
+        row = {"row": index, "n": n, "M": M_requested, "algorithm": args.algo,
+               **cells, "seed": seed, "wall_time_s": wall, "error": error}
+        rows.append([row.get(key) for key in SWEEP_CSV_HEADER])
 
     _write_text(_csv_text(SWEEP_CSV_HEADER, rows), args.out)
     return 0
@@ -472,9 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "algo", None) == "pea" and args.t is None:
+            raise ValueError("--t is required for --algo pea")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,13 +28,11 @@ from .grover import (
 from .simple_count import ENGINES, halt_bound
 from .statevector import (
     _MASK64,
-    MAX_QUBITS_ENV,
-    ResourceLimitError,
     Statevector,
     _check_register,
     apply_hadamard,
+    check_width,
     init_basis,
-    max_qubits,
 )
 
 
@@ -127,15 +125,6 @@ def inverse_qft(state: Statevector, register: Sequence[int]) -> Statevector:
     return state
 
 
-def _check_circuit_width(n: int, t: int) -> None:
-    if n + t > max_qubits():
-        raise ResourceLimitError(
-            f"circuit needs {n + t} qubits ({n} computation + {t} control), "
-            f"above the dense-simulation cap of {max_qubits()} "
-            f"(override with {MAX_QUBITS_ENV})"
-        )
-
-
 def _overlap_distribution(overlaps: np.ndarray) -> np.ndarray:
     """Register outcome distribution from the Grover overlaps a(0..2**t - 1).
 
@@ -154,10 +143,10 @@ def pea_state(problem: GroverProblem, t: int) -> Statevector:
     """State of the full estimation circuit just before the register-1 measurement.
 
     The computation register occupies qubits 0..n-1 and the control
-    register qubits n..n+t-1 (control n+j gates G**(2**j)).
+    register qubits n..n+t-1 (control n+j gates G**(2**j)). `init_basis`
+    refuses n + t qubits above the dense-simulation cap.
     """
     n = problem.n
-    _check_circuit_width(n, t)
     state = init_basis(n + t, 0)
     for q in range(n + t):
         apply_hadamard(state, q)
@@ -201,7 +190,7 @@ def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:
         probs = pea_distribution(config.t, grover_angle(N, M))
     else:
         # The cap counts the control register, as the simulated circuit does.
-        _check_circuit_width(problem.n, config.t)
+        check_width(problem.n + config.t)
         overlaps = np.fromiter(grover_overlaps(problem), dtype=np.float64, count=1 << config.t)
         probs = _overlap_distribution(overlaps)
 

@@ -147,11 +147,17 @@ def ensure_minority(problem: GroverProblem) -> GroverProblem:
 
     Each doubling widens the oracle by one qubit (`widened`): an explicit set
     keeps its indices, a bit-pattern mask gains the new top bit. M = N needs
-    two doublings; anything else at most one.
+    two doublings; anything else at most one. A doubling past the oracle's
+    62-qubit limit raises ValueError.
     """
     current = problem
     while 2 * marked_count(current) >= current.N:
-        current = GroverProblem(current.n + 1, current.oracle.widened())
+        try:
+            oracle = current.oracle.widened()
+        except ValueError as exc:
+            raise ValueError(f"marked fraction {marked_count(current)}/{current.N} needs the "
+                             f"search space doubled to {current.n + 1} qubits: {exc}") from exc
+        current = GroverProblem(current.n + 1, oracle)
     return current
 
 
@@ -217,8 +223,7 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
             break
 
     last = trace[-1]
-    p_k = _clamp(last.p0_hat - last.p1_hat, -1.0, 1.0)
-    theta_hat, m_hat = postprocess_arccos(p_k, last.k, N)
+    theta_hat, m_hat = postprocess_arccos(last.p0_hat - last.p1_hat, last.k, N)
     iterations = optimal_grover_iterations(theta_hat) if theta_hat > 0.0 else None
     return CountEstimate(
         m_hat=m_hat,

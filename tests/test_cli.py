@@ -265,3 +265,9 @@ def test_analytic_runs_never_enumerate(monkeypatch, capsys):
     res = run_pea(GroverProblem(60, BitPatternOracle(60, 1)), PEAConfig(t=3))
     assert res.best_pair == (2, 6)
     assert abs(res.m_hat - (1 << 59)) <= 1e-6 * (1 << 59)
+
+
+def test_doubling_past_62_bits_names_the_doubling(capsys):
+    # mask:0x1 marks half of the 62-bit space, so it would run doubled on 63 qubits.
+    code, _, err = run_cli(capsys, "run", "--algo", "simple", "--n", "62", "--oracle", "mask:0x1")
+    assert code == 2 and "doubl" in err and "62" in err
