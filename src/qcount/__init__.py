@@ -1,13 +1,13 @@
 """Quantum counting toolkit: amplitude-amplification counting with a
-phase-estimation baseline, on an exact dense statevector simulator."""
+phase-estimation baseline, on an exact dense statevector simulator.
 
-from .analytic import circuit_state_closed_form, p0_exact, p1_exact, pea_distribution
+The names exported here are the run API; the gate-level circuit references
+are imported from their own modules."""
+
+from .analytic import p1_exact, pea_distribution
 from .grover import (
     GroverAngle,
     GroverProblem,
-    apply_grover,
-    build_eigenstate,
-    controlled_grover_power,
     grover_angle,
     grover_overlaps,
     marked_count,
@@ -16,17 +16,13 @@ from .oracles import (
     BitPatternOracle,
     ExplicitSetOracle,
     Oracle,
-    marked_indices,
     parse_oracle,
-    pattern_marked_count,
 )
 from .pea import (
     PEAConfig,
     PEAResult,
-    inverse_qft,
     pea_cost,
     pea_minimum_t,
-    pea_state,
     required_t,
     run_pea,
 )
@@ -41,21 +37,11 @@ from .simple_count import (
     postprocess_arccos,
     postprocess_halfangle,
     run_simple_count,
-    step_probability_one,
-    step_state,
 )
 from .statevector import (
     ResourceLimitError,
-    Statevector,
-    apply_diffusion,
-    apply_hadamard,
-    apply_phase_flip,
-    controlled_apply,
     derive_seed,
-    init_basis,
     max_qubits,
-    probability_of_one,
-    register_probabilities,
     sample_bit,
 )
 
@@ -72,44 +58,25 @@ __all__ = [
     "PEAConfig",
     "PEAResult",
     "ResourceLimitError",
-    "Statevector",
     "StepOutcome",
-    "apply_diffusion",
-    "apply_grover",
-    "apply_hadamard",
-    "apply_phase_flip",
-    "build_eigenstate",
-    "circuit_state_closed_form",
-    "controlled_apply",
-    "controlled_grover_power",
     "default_max_k",
     "derive_seed",
     "ensure_minority",
     "grover_angle",
     "grover_overlaps",
     "halt_bound",
-    "init_basis",
-    "inverse_qft",
     "marked_count",
-    "marked_indices",
     "max_qubits",
     "optimal_grover_iterations",
-    "p0_exact",
     "p1_exact",
     "parse_oracle",
-    "pattern_marked_count",
     "pea_cost",
     "pea_distribution",
     "pea_minimum_t",
-    "pea_state",
     "postprocess_arccos",
     "postprocess_halfangle",
-    "probability_of_one",
-    "register_probabilities",
     "required_t",
     "run_pea",
     "run_simple_count",
     "sample_bit",
-    "step_probability_one",
-    "step_state",
 ]

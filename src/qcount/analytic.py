@@ -21,10 +21,6 @@ def p1_exact(k: int, angle: GroverAngle) -> float:
     return math.sin(0.5 * (2.0 ** k) * angle.theta) ** 2
 
 
-def p0_exact(k: int, angle: GroverAngle) -> float:
-    return 1.0 - p1_exact(k, angle)
-
-
 def circuit_state_closed_form(k: int, angle: GroverAngle) -> tuple[float, float, float, float]:
     """Coefficients of the pre-measurement state at step k.
 

@@ -4,7 +4,7 @@ Subcommands: ``run`` (one counting run), ``sweep`` (cartesian parameter
 sweeps to CSV), ``repro`` (canned desk-scale experiment configurations with
 CSV + SVG output), ``selftest`` (fast internal consistency checks).
 
-Exit codes: 0 success, 2 invalid arguments or spec, 3 resource cap exceeded.
+Exit codes: 0 success, 2 invalid arguments, spec or output path, 3 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -196,6 +196,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def cmd_sweep(args) -> int:
     n_values = _parse_int_list(args.n_values, "--n-values")
     m_values = _parse_int_list(args.m_values, "--m-values")
+    for M in m_values:
+        if M < 0:
+            raise ValueError(f"--m-values must be >= 0, got {M}")
     _, _, to_cells = _READOUTS[args.algo]
 
     rows = []
@@ -250,30 +253,27 @@ FIGURES: dict[str, FigureConfig] = {
 }
 
 
-def _simple_series_rows(problem: GroverProblem, shots: int, seed: int) -> list[list]:
+def _simple_series_rows(est: CountEstimate) -> list[list]:
     """Per-step estimates: each step's own p(k) post-processed as if final."""
-    est = run_simple_count(problem, CountingConfig(shots=shots, seed=seed))
     rows = []
     for step in est.trace:
-        _, m_hat = postprocess_arccos(step.p0_hat - step.p1_hat, step.k, problem.N)
-        rows.append(["simple", step.k, m_hat, step.p1_hat, shots])
+        _, m_hat = postprocess_arccos(step.p0_hat - step.p1_hat, step.k, est.N)
+        rows.append(["simple", step.k, m_hat, step.p1_hat, step.shots])
     return rows
 
 
-def _pea_point_rows(problem: GroverProblem, t: int, shots: int, seed: int) -> list[list]:
-    res = run_pea(problem, PEAConfig(t=t, shots=shots, seed=seed))
-    return [["pea", t, res.m_hat, res.best_pair_probability, shots]]
+def _pea_point_rows(res: PEAResult) -> list[list]:
+    return [["pea", res.t, res.m_hat, res.best_pair_probability, res.shots]]
 
 
-def _pea_histogram_rows(problem: GroverProblem, t: int, shots: int, seed: int) -> list[list]:
-    res = run_pea(problem, PEAConfig(t=t, shots=shots, seed=seed))
-    fractions = res.histogram / shots if shots else res.histogram
-    size = 1 << t
+def _pea_histogram_rows(res: PEAResult) -> list[list]:
+    fractions = res.histogram / res.shots if res.shots else res.histogram
+    size = 1 << res.t
     rows = []
     for j in range(size):
         phi = min(j, size - j) / size
-        m_hat = problem.N * math.sin(math.pi * phi) ** 2
-        rows.append(["pea", j, m_hat, float(fractions[j]), shots])
+        m_hat = res.N * math.sin(math.pi * phi) ** 2
+        rows.append(["pea", j, m_hat, float(fractions[j]), res.shots])
     return rows
 
 
@@ -287,16 +287,20 @@ def cmd_repro(args) -> int:
     problem = ensure_minority(GroverProblem(config.n, oracle))
     true_m = marked_count(problem)
 
+    def pea(t: int, seed: int) -> PEAResult:
+        return run_pea(problem, PEAConfig(t=t, shots=config.shots, seed=seed))
+
     rows: list[list] = []
     if config.simple:
-        rows += _simple_series_rows(problem, config.shots, derive_seed(args.seed, 0))
+        est = run_simple_count(problem, CountingConfig(shots=config.shots,
+                                                       seed=derive_seed(args.seed, 0)))
+        rows += _simple_series_rows(est)
     if config.pea_histogram_t is not None:
-        rows += _pea_histogram_rows(problem, config.pea_histogram_t, config.shots,
-                                    derive_seed(args.seed, 1))
+        rows += _pea_histogram_rows(pea(config.pea_histogram_t, derive_seed(args.seed, 1)))
     if config.pea_t is not None:
-        rows += _pea_point_rows(problem, config.pea_t, config.shots, derive_seed(args.seed, 1))
+        rows += _pea_point_rows(pea(config.pea_t, derive_seed(args.seed, 1)))
     for t in config.pea_t_sweep:
-        rows += _pea_point_rows(problem, t, config.shots, derive_seed(args.seed, 1, t))
+        rows += _pea_point_rows(pea(t, derive_seed(args.seed, 1, t)))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -310,7 +314,7 @@ def cmd_repro(args) -> int:
                          "outcome j", "probability")
     else:
         series = []
-        for name, x_label in (("simple", "measurement step k"), ("pea", "register width t")):
+        for name in ("simple", "pea"):
             points = tuple((float(r[1]), float(r[2])) for r in rows if r[0] == name)
             if points:
                 series.append(Series(name, points))
@@ -371,7 +375,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
             coeffs = circuit_state_closed_form(k, angle)
             assert abs(sum(c * c for c in coeffs) - 1.0) < 1e-12
             simulated.append(p1)
-        est = run_simple_count(problem, CountingConfig(engine="statevector", max_k=3))
+        est = run_simple_count(problem, CountingConfig(engine="statevector"))
         for step in est.trace:
             assert abs(step.p1_hat - simulated[step.k]) < 1e-10
 
@@ -469,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,12 +46,10 @@ class GroverProblem:
 
 @dataclass(frozen=True)
 class GroverAngle:
-    """The (theta, phi, M, N) bundle with sin^2(theta/2) = M/N and phi = theta/(2*pi)."""
+    """The rotation angle theta, sin^2(theta/2) = M/N, and the eigenphase phi = theta/(2*pi)."""
 
     theta: float
     phi: float
-    M: int
-    N: int
 
 
 def grover_angle(N: int, M: int) -> GroverAngle:
@@ -61,7 +59,7 @@ def grover_angle(N: int, M: int) -> GroverAngle:
     if not 0 <= M <= N:
         raise ValueError(f"M must be in [0, {N}], got {M}")
     theta = 2.0 * math.asin(math.sqrt(M / N))
-    return GroverAngle(theta=theta, phi=theta / (2.0 * math.pi), M=M, N=N)
+    return GroverAngle(theta=theta, phi=theta / (2.0 * math.pi))
 
 
 def apply_grover(state: Statevector, problem: GroverProblem, register: Sequence[int]) -> Statevector:

@@ -59,9 +59,6 @@ class ExplicitSetOracle:
     def widened(self) -> ExplicitSetOracle:
         return ExplicitSetOracle(self.n + 1, self.indices)
 
-    def spec_text(self) -> str:
-        return "set:" + ",".join(str(i) for i in self.indices)
-
 
 @dataclass(frozen=True)
 class BitPatternOracle:
@@ -91,16 +88,8 @@ class BitPatternOracle:
     def widened(self) -> BitPatternOracle:
         return BitPatternOracle(self.n + 1, self.mask | (1 << self.n))
 
-    def spec_text(self) -> str:
-        return f"mask:{self.mask:#x}"
-
 
 Oracle = Union[ExplicitSetOracle, BitPatternOracle]
-
-
-def pattern_marked_count(n: int, mask: int) -> int:
-    """Closed-form marked count of a bit-pattern oracle: 2**(n - popcount(mask))."""
-    return BitPatternOracle(n, mask).count()
 
 
 def marked_indices(oracle: Oracle) -> np.ndarray:

@@ -25,7 +25,7 @@ from .grover import (
     grover_overlaps,
     marked_count,
 )
-from .simple_count import ENGINES, halt_bound
+from .simple_count import check_shots_and_engine, halt_bound
 from .statevector import (
     _MASK64,
     Statevector,
@@ -48,10 +48,7 @@ class PEAConfig:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
+        check_shots_and_engine(self.shots, self.engine)
 
 
 @dataclass(frozen=True)

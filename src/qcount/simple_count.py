@@ -14,6 +14,7 @@ is kept as the gate-level reference.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,14 @@ from .statevector import (
 ENGINES = ("analytic", "statevector")
 
 
+def check_shots_and_engine(shots: int, engine: str) -> None:
+    """The sampling and engine rules that every estimator config shares."""
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+
+
 @dataclass
 class CountingConfig:
     """Knobs for one counting run; shots=0 uses exact probabilities."""
@@ -45,18 +54,12 @@ class CountingConfig:
     threshold: float = 0.5
     shots: int = 0
     engine: str = "analytic"
-    max_k: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.max_k is not None and self.max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {self.max_k}")
+        check_shots_and_engine(self.shots, self.engine)
 
 
 @dataclass(frozen=True)
@@ -185,8 +188,8 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
     Requires a minority marked set (M/N < 1/2); apply ensure_minority first.
     Steps are independent circuit executions; in sampled mode each step draws
     its ones-count from a binomial with a seed derived from (seed, k). If the
-    threshold is never reached by step max_k the last step is post-processed
-    anyway and the estimate is flagged (covers M = 0, where m_hat = 0).
+    threshold is never reached by step default_max_k(n), the last step is
+    post-processed anyway and the estimate is flagged (covers M = 0, where m_hat = 0).
     """
     config = config or CountingConfig()
     N = problem.N
@@ -197,20 +200,17 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
         )
     if config.engine == "analytic":
         angle = grover_angle(N, M)
+        p1s = (p1_exact(k, angle) for k in itertools.count())
     else:
         # The cap counts the measurement qubit, as the simulated circuit does.
         check_width(problem.n + 1)
-        overlaps = enumerate(grover_overlaps(problem))
-    max_k = config.max_k if config.max_k is not None else default_max_k(problem.n)
+        # Step k reads a(2**k); the walk advances only as far as the loop asks.
+        p1s = (0.5 * (1.0 - a) for d, a in enumerate(grover_overlaps(problem))
+               if d > 0 and d & (d - 1) == 0)
 
     trace: list[StepOutcome] = []
     halted = False
-    for k in range(max_k + 1):
-        if config.engine == "analytic":
-            p1 = p1_exact(k, angle)
-        else:
-            overlap = next(a for d, a in overlaps if d == 1 << k)
-            p1 = 0.5 * (1.0 - overlap)
+    for k, p1 in zip(range(default_max_k(problem.n) + 1), p1s):
         if config.shots > 0:
             ones = sample_bit(_clamp(p1, 0.0, 1.0), config.shots, derive_seed(config.seed, k))
             p1_hat = ones / config.shots

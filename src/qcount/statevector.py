@@ -67,9 +67,6 @@ class Statevector:
     def __repr__(self):
         return f"Statevector(num_qubits={self.num_qubits})"
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.num_qubits, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcount.analytic import circuit_state_closed_form, p0_exact, p1_exact, pea_distribution
+from qcount.analytic import circuit_state_closed_form, p1_exact, pea_distribution
 from qcount.grover import GroverProblem, grover_angle
 from qcount.oracles import ExplicitSetOracle
 from qcount.simple_count import halt_bound, step_state
@@ -15,7 +15,6 @@ def test_p1_at_step_zero_is_marked_fraction(n, data):
     M = data.draw(st.integers(min_value=0, max_value=1 << n))
     angle = grover_angle(1 << n, M)
     assert abs(p1_exact(0, angle) - M / (1 << n)) < 1e-12
-    assert abs(p0_exact(0, angle) + p1_exact(0, angle) - 1.0) < 1e-15
 
 
 def test_p1_anchor_values_for_large_search_space():

@@ -165,6 +165,31 @@ def test_sweep_empty_ranges(capsys):
     assert code == 2 and "--n-values" in err
 
 
+def test_sweep_refuses_negative_m_before_any_row(tmp_path, capsys):
+    out_file = tmp_path / "sweep.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--algo", "simple", "--n-values", "4", "--m-values=2,-3",
+        "--out", str(out_file),
+    )
+    assert code == 2 and "--m-values" in err and "-3" in err
+    assert out == "" and not out_file.exists()
+
+
+def test_unwritable_run_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "run.json"
+    code, _, err = run_cli(
+        capsys, "run", "--algo", "simple", "--n", "3", "--oracle", "set:7", "--out", str(target),
+    )
+    assert code == 2 and err.startswith("error: ") and str(target) in err
+
+
+def test_repro_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_cli(capsys, "repro", "fig3", "--out-dir", str(blocker))
+    assert code == 2 and err.startswith("error: ") and str(blocker) in err
+
+
 def test_repro_fig9(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "repro", "fig9", "--out-dir", str(tmp_path))
     assert code == 0

@@ -262,8 +262,6 @@ def test_config_validation():
         CountingConfig(shots=-1)
     with pytest.raises(ValueError):
         CountingConfig(engine="qasm")
-    with pytest.raises(ValueError):
-        CountingConfig(max_k=0)
 
 
 def test_overlap_engine_matches_gate_level_reference():
