@@ -23,7 +23,7 @@ import numpy as np
 
 from .charts import Series, line_chart
 from .grover import GroverProblem, grover_angle, marked_count
-from .oracles import ExplicitSetOracle, parse_oracle
+from .oracles import ExplicitSetOracle, PrefixOracle, parse_oracle
 from .pea import PEAConfig, PEAResult, pea_cost, run_pea
 from .simple_count import (
     ENGINES,
@@ -206,7 +206,7 @@ def cmd_sweep(args) -> int:
         seed = derive_seed(args.seed, index)
         started = time.perf_counter()
         try:
-            oracle = ExplicitSetOracle(n, tuple(range(M_requested)))
+            oracle = PrefixOracle(n, M_requested)
             problem = ensure_minority(GroverProblem(n, oracle))
             cells, error = to_cells(_execute(args, problem, seed)), ""
         except (ValueError, ResourceLimitError) as exc:

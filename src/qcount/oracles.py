@@ -1,17 +1,18 @@
 """Marked-set oracles over computational-basis indices.
 
 An oracle marks a subset of the ``2**n`` basis indices of an n-qubit
-register; the engine turns it into a conditional phase flip. Two forms are
-supported: an explicit index set, and a bit-pattern mask that marks every
-index whose bits are 1 at all positions set in the mask. Each form counts
-its marked states (`count`) and widens itself to n+1 qubits with the same
-count (`widened`) in closed form; n <= 62, so N and every index fit in int64.
+register; the engine turns it into a conditional phase flip. Three forms are
+supported: an explicit index set, a bit-pattern mask that marks every index
+whose bits are 1 at all positions set in the mask, and a prefix that marks
+the first M indices (the `sweep` oracle). Each form counts its marked
+states (`count`) and widens itself to n+1 qubits with the same count
+(`widened`) in closed form; n <= 62, so N and every index fit in int64.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -89,17 +90,49 @@ class BitPatternOracle:
         return BitPatternOracle(self.n + 1, self.mask | (1 << self.n))
 
 
-Oracle = Union[ExplicitSetOracle, BitPatternOracle]
+@dataclass(frozen=True)
+class PrefixOracle:
+    """Marks the indices 0..stop-1, as ExplicitSetOracle(n, range(stop)) does,
+    in O(1) memory. Widening keeps ``stop``, so the top-bit-1 half is unmarked."""
+
+    n: int
+    stop: int
+
+    def __post_init__(self):
+        _check_n(self.n)
+        if self.stop < 0:
+            raise ValueError(f"prefix stop must be >= 0, got {self.stop}")
+        if self.stop > 1 << self.n:
+            # The first index of range(stop) that does not fit, as the set oracle reports it.
+            _check_index(1 << self.n, self.n)
+
+    def is_marked(self, x: int) -> bool:
+        _check_index(x, self.n)
+        return x < self.stop
+
+    def select(self, xs: np.ndarray) -> np.ndarray:
+        return xs < self.stop
+
+    def count(self) -> int:
+        return self.stop
+
+    def widened(self) -> PrefixOracle:
+        return PrefixOracle(self.n + 1, self.stop)
+
+
+Oracle = Union[ExplicitSetOracle, BitPatternOracle, PrefixOracle]
+
+
+def basis_chunks(n: int) -> Iterator[np.ndarray]:
+    """The basis indices 0..2**n - 1, ascending, as int64 slices of at most `_CHUNK`."""
+    dim = 1 << n
+    for lo in range(0, dim, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, dim), dtype=np.int64)
 
 
 def marked_indices(oracle: Oracle) -> np.ndarray:
     """All marked basis indices, ascending, by chunked enumeration."""
-    dim = 1 << oracle.n
-    found = []
-    for lo in range(0, dim, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, dim), dtype=np.int64)
-        found.append(xs[oracle.select(xs)])
-    return np.concatenate(found)
+    return np.concatenate([xs[oracle.select(xs)] for xs in basis_chunks(oracle.n)])
 
 
 def parse_oracle(text: str, n: int) -> Oracle:

@@ -6,8 +6,9 @@ accumulated phase back to a basis state, and measuring the register yields
 either j ~ phi * 2**t or its mirror (2**t - j), both encoding the same M.
 
 The statevector engine computes the outcome distribution from the overlaps
-a(0..2**t - 1) of `grover_overlaps` with one FFT; `pea_state` simulates the
-full (n+t)-qubit circuit and is kept as the gate-level reference.
+a(0..2**t - 1), which `grover_overlaps` takes from a recurrence in the
+enumerated M, with one FFT; `pea_state` simulates the full (n+t)-qubit
+circuit and is kept as the gate-level reference.
 """
 from __future__ import annotations
 

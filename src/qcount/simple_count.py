@@ -8,9 +8,9 @@ threshold; classical post-processing inverts that step's p(k) = p0 - p1 =
 cos(2**k * theta) back to theta and M = N*sin^2(theta/2).
 
 Step k's p1 is (1 - a(2**k))/2 with a(d) = <s|G**d|s>: the analytic engine
-evaluates a(d) = cos(d*theta), the statevector engine walks it with
-`grover_overlaps`. `step_state` simulates the full (n+1)-qubit circuit and
-is kept as the gate-level reference.
+evaluates a(d) = cos(d*theta), the statevector engine takes it from the
+recurrence of `grover_overlaps`. `step_state` simulates the full
+(n+1)-qubit circuit and is kept as the gate-level reference.
 """
 from __future__ import annotations
 
@@ -204,7 +204,7 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
     else:
         # The cap counts the measurement qubit, as the simulated circuit does.
         check_width(problem.n + 1)
-        # Step k reads a(2**k); the walk advances only as far as the loop asks.
+        # Step k reads a(2**k); the recurrence advances only as far as the loop asks.
         p1s = (0.5 * (1.0 - a) for d, a in enumerate(grover_overlaps(problem))
                if d > 0 and d & (d - 1) == 0)
 

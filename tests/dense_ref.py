@@ -1,9 +1,10 @@
 """Independent dense-matrix constructions used as oracles for the engine tests.
 
 Everything here is built from first principles (explicit matrix elements
-over full basis enumerations), deliberately not reusing the package's
-slicing/tensor code paths. Qubit 0 is the least-significant index bit,
-matching the package convention.
+over full basis enumerations, a walk of G**d over a full vector, exact
+integer arithmetic), deliberately not reusing the package's slicing/tensor
+code paths or its overlap recurrence. Qubit 0 is the least-significant
+index bit, matching the package convention.
 """
 import numpy as np
 
@@ -82,3 +83,43 @@ def dense_inverse_dft(t: int) -> np.ndarray:
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return amps / np.linalg.norm(amps)
+
+
+def walk_overlaps(problem, count: int) -> np.ndarray:
+    """The overlaps a(0..count-1) = <s|G**d|s> by applying G to a vector.
+
+    The oracle flip and the diffusion have real matrix elements, so the walk
+    holds G**d applied to the all-ones vector sqrt(N)|s> as N float64 reals,
+    and a(d) is that vector's mean. Each step is a sign flip on the marked
+    entries, built once from the oracle, then v <- 2*mean(v) - v. The
+    reflection keeps the mean, so a(d+1) is the mean of the flipped vector,
+    which the reflection needs anyway.
+    """
+    N = problem.N
+    marked = problem.oracle.select(np.arange(N, dtype=np.int64))
+    v = np.ones(N)
+    overlaps = np.empty(count)
+    overlap = 1.0
+    for d in range(count):
+        overlaps[d] = overlap
+        np.negative(v, out=v, where=marked)
+        overlap = float(np.add.reduce(v)) / N
+        np.subtract(2.0 * overlap, v, out=v)
+    return overlaps
+
+
+def exact_overlaps(n: int, M: int, count: int) -> np.ndarray:
+    """The overlaps a(0..count-1) for M of N = 2**n marked, each correctly rounded.
+
+    a(d) = T_d(1 - 2M/N), so b(d) = a(d) * N**d is an integer with b(0) = 1,
+    b(1) = N - 2M and b(d+1) = 2(N - 2M) b(d) - N**2 b(d-1). Python's int
+    division b(d) / N**d rounds once, to the nearest float.
+    """
+    N = 1 << n
+    step = N - 2 * M
+    overlaps = np.empty(count)
+    prev, b = 1, step
+    for d in range(count):
+        overlaps[d] = prev / (1 << (n * d))
+        prev, b = b, 2 * step * b - (prev << (2 * n))
+    return overlaps

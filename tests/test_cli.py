@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -12,7 +13,7 @@ from qcount.cli import (
     SWEEP_CSV_HEADER,
     main,
 )
-from qcount.grover import GroverProblem
+from qcount.grover import GroverProblem, grover_overlaps
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
 from qcount.pea import PEAConfig, run_pea
 from qcount.simple_count import halt_bound
@@ -296,3 +297,43 @@ def test_doubling_past_62_bits_names_the_doubling(capsys):
     # mask:0x1 marks half of the 62-bit space, so it would run doubled on 63 qubits.
     code, _, err = run_cli(capsys, "run", "--algo", "simple", "--n", "62", "--oracle", "mask:0x1")
     assert code == 2 and "doubl" in err and "62" in err
+
+
+def test_sweep_huge_m_fails_in_bounded_memory(capsys):
+    # A row's oracle is a prefix of the basis, not a tuple of M indices.
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "sweep", "--algo", "simple", "--n-values", "4",
+                               "--m-values", "2000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
+    row = next(csv.DictReader(out.splitlines()))
+    assert row["error"] == "basis index 16 out of range for 4 qubits"
+
+
+@pytest.mark.parametrize("algo,extra,k_or_t,cost", [
+    ("simple", (), "4", "31"),
+    ("pea", ("--t", "3"), "3", "7"),
+])
+def test_sweep_zero_marked_row(capsys, algo, extra, k_or_t, cost):
+    code, out, _ = run_cli(capsys, "sweep", "--algo", algo, "--n-values", "4",
+                           "--m-values", "0", *extra)
+    assert code == 0
+    (row,) = csv.DictReader(out.splitlines())
+    assert (row["M"], row["k_or_t"], row["m_hat"], row["cost"], row["error"]) == (
+        "0", k_or_t, "0", cost, "")
+
+
+def test_selftest_reports_a_failed_check(monkeypatch, capsys):
+    def biased(problem):
+        for overlap in grover_overlaps(problem):
+            yield overlap + 1e-6
+
+    monkeypatch.setattr("qcount.simple_count.grover_overlaps", biased)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "FAIL  closed form matches simulation" in out
+    assert "4/5 checks passed" in out

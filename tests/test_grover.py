@@ -13,7 +13,7 @@ from qcount.grover import (
     grover_overlaps,
     marked_count,
 )
-from qcount.oracles import BitPatternOracle, ExplicitSetOracle, marked_indices
+from qcount.oracles import BitPatternOracle, ExplicitSetOracle, PrefixOracle, marked_indices
 from qcount.statevector import Statevector, apply_hadamard, init_basis, probability_of_one
 
 import dense_ref
@@ -239,3 +239,64 @@ def test_mask_and_set_oracles_give_identical_overlaps(case):
     explicit = ExplicitSetOracle(n, tuple(int(i) for i in marked_indices(pattern)))
     assert np.array_equal(first_overlaps(GroverProblem(n, pattern), 128),
                           first_overlaps(GroverProblem(n, explicit), 128))
+
+
+# The largest |a(d) - exact| allowed of the engine, fixed before measuring.
+EXACT_BOUND = 1e-12
+
+
+def exact_cases():
+    """(oracle, M) pairs on n <= 12 qubits, plus a few at n = 16. M = 1 and
+    N - 1 put c = 1 - 2M/N nearest +-1, where the recurrence is most
+    sensitive; M = 0 and N give c = +-1 exactly, so small n covers them."""
+    rng = np.random.default_rng(2805)
+    cases = []
+    for n in range(1, 13):
+        N = 1 << n
+        edges = {0, N} if n <= 4 else set()
+        for M in sorted(edges | {1, N - 1, int(rng.integers(1, N))}):
+            marked = tuple(int(i) for i in rng.choice(N, size=M, replace=False))
+            cases.append((ExplicitSetOracle(n, marked), M))
+    cases.append((BitPatternOracle(12, 0xFFF), 1))
+    cases.append((BitPatternOracle(12, 0x0FF), 16))
+    for M in (1, 3, 1 << 15, (1 << 16) - 1):
+        cases.append((ExplicitSetOracle(16, tuple(range(M))), M))
+    cases.append((BitPatternOracle(16, 0xFFFF), 1))
+    return cases
+
+
+def test_overlaps_match_exact_reference():
+    for oracle, M in exact_cases():
+        count = 1 << 12 if oracle.n <= 12 else 1 << 10
+        got = first_overlaps(GroverProblem(oracle.n, oracle), count)
+        exact = dense_ref.exact_overlaps(oracle.n, M, count)
+        assert np.max(np.abs(got - exact)) < EXACT_BOUND, (oracle, M)
+
+
+def test_exact_reference_examples():
+    # N = 8, M = 1: cos(theta) = 3/4, so a(2) = 2(3/4)^2 - 1 = 1/8 and
+    # a(3) = 2(3/4)(1/8) - 3/4 = -9/16, each exact in binary.
+    assert list(dense_ref.exact_overlaps(3, 1, 4)) == [1.0, 0.75, 0.125, -0.5625]
+    assert list(dense_ref.exact_overlaps(2, 0, 3)) == [1.0, 1.0, 1.0]
+    assert list(dense_ref.exact_overlaps(2, 4, 3)) == [1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("n,marked", [
+    (1, (1,)), (3, (7,)), (5, (0, 9, 30)), (8, tuple(range(100))),
+])
+def test_vector_walk_matches_engine(n, marked):
+    problem = GroverProblem(n, ExplicitSetOracle(n, marked))
+    walk = dense_ref.walk_overlaps(problem, 512)
+    assert np.max(np.abs(walk - dense_ref.exact_overlaps(n, len(marked), 512))) < EXACT_BOUND
+    assert np.max(np.abs(walk - first_overlaps(problem, 512))) < EXACT_BOUND
+
+
+@pytest.mark.parametrize("oracle,M", [
+    (BitPatternOracle(22, (1 << 22) - 1), 1),
+    (PrefixOracle(22, (1 << 22) - 1), (1 << 22) - 1),
+])
+def test_overlaps_stay_exact_at_large_n(oracle, M):
+    # With c = 1 - 2M/N within 1e-6 of +-1, 2c*a(d) - a(d-1) computed as
+    # written loses digits; at n = 22, d < 4096 it is off by 2.6e-12.
+    got = first_overlaps(GroverProblem(22, oracle), 1 << 12)
+    assert np.max(np.abs(got - dense_ref.exact_overlaps(22, M, 1 << 12))) < EXACT_BOUND

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from qcount.oracles import (
     BitPatternOracle,
     ExplicitSetOracle,
+    PrefixOracle,
     marked_indices,
     parse_oracle,
 )
@@ -117,3 +118,30 @@ def test_count_and_widening_match_enumeration(oracle):
     else:
         top = 1 << oracle.n
         assert np.array_equal(marked_indices(once), marked_indices(oracle) + top)
+
+
+@pytest.mark.parametrize("n,stop", [(1, 0), (1, 2), (3, 5), (4, 16), (6, 33)])
+def test_prefix_matches_explicit_range(n, stop):
+    prefix = PrefixOracle(n, stop)
+    explicit = ExplicitSetOracle(n, tuple(range(stop)))
+    xs = np.arange(1 << n)
+    assert np.array_equal(prefix.select(xs), explicit.select(xs))
+    assert [prefix.is_marked(x) for x in range(1 << n)] == [explicit.is_marked(x) for x in xs]
+    assert prefix.count() == explicit.count() == marked_indices(prefix).size
+    wide = prefix.widened()
+    assert wide == PrefixOracle(n + 1, stop)
+    assert np.array_equal(marked_indices(wide), marked_indices(explicit.widened()))
+
+
+def test_prefix_refuses_what_the_explicit_range_refuses():
+    with pytest.raises(ValueError) as explicit:
+        ExplicitSetOracle(4, tuple(range(17)))
+    with pytest.raises(ValueError) as prefix:
+        PrefixOracle(4, 17)
+    assert str(prefix.value) == str(explicit.value) == "basis index 16 out of range for 4 qubits"
+    with pytest.raises(ValueError, match="62"):
+        PrefixOracle(63, 1)
+    with pytest.raises(ValueError, match="-1"):
+        PrefixOracle(3, -1)
+    with pytest.raises(ValueError):
+        PrefixOracle(3, 2).is_marked(8)

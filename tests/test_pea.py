@@ -8,6 +8,7 @@ from qcount.grover import GroverProblem, grover_angle
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
 from qcount.pea import (
     PEAConfig,
+    _overlap_distribution,
     inverse_qft,
     pea_cost,
     pea_minimum_t,
@@ -246,3 +247,28 @@ def test_statevector_sampling_at_exact_phases(marked, t):
     assert exact.histogram.min() >= 0.0
     res = run_pea(problem, PEAConfig(t=t, shots=64, engine="statevector"))
     assert res.histogram.sum() == 64
+
+
+@pytest.mark.parametrize("oracle,t", [
+    (ExplicitSetOracle(2, (3,)), 12),
+    (ExplicitSetOracle(3, (7,)), 12),
+    (ExplicitSetOracle(6, (1, 8, 20, 33, 62)), 12),
+    (ExplicitSetOracle(8, tuple(range(0, 256, 2))), 11),
+    (BitPatternOracle(12, 0xFFF), 12),
+    (BitPatternOracle(12, 0x0FF), 10),
+])
+def test_statevector_distribution_matches_exact_overlaps(oracle, t):
+    # The histogram from the exact overlaps, bound fixed before measuring.
+    problem = GroverProblem(oracle.n, oracle)
+    res = run_pea(problem, PEAConfig(t=t, engine="statevector"))
+    exact = dense_ref.exact_overlaps(oracle.n, oracle.count(), 1 << t)
+    assert np.max(np.abs(res.histogram - _overlap_distribution(exact))) < 1e-12
+
+
+@pytest.mark.parametrize("engine", ["analytic", "statevector"])
+def test_single_shot_is_sampled(engine):
+    problem = GroverProblem(3, ExplicitSetOracle(3, (7,)))
+    res = run_pea(problem, PEAConfig(t=3, shots=1, seed=5, engine=engine))
+    assert res.histogram.dtype.kind == "i"
+    assert res.histogram.sum() == 1
+    assert res.best_pair_probability == 1.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from qcount.analytic import p1_exact
 from qcount.grover import GroverProblem, grover_angle, marked_count
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
-from qcount.statevector import ResourceLimitError
+from qcount.statevector import ResourceLimitError, derive_seed, sample_bit
 from qcount.simple_count import (
     CountingConfig,
     default_max_k,
@@ -282,3 +283,69 @@ def test_statevector_width_cap_counts_measurement_qubit(monkeypatch):
     run_simple_count(first_m_problem(3, 1), CountingConfig(engine="statevector"))
     with pytest.raises(ResourceLimitError, match="5 qubits"):
         run_simple_count(first_m_problem(4, 1), CountingConfig(engine="statevector"))
+
+
+def test_default_max_k_values():
+    assert [default_max_k(n) for n in (1, 12, 13, 62)] == [3, 8, 9, 33]
+
+
+def test_p1_equal_to_threshold_halts_exact_mode():
+    problem = GroverProblem(12, BitPatternOracle(12, 0xFFF))
+    p1_step4 = run_simple_count(problem).trace[4].p1_hat
+    est = run_simple_count(problem, CountingConfig(threshold=p1_step4))
+    assert est.k_final == 4 and est.halted_on_threshold
+
+
+def test_p1_equal_to_threshold_halts_sampled_mode():
+    # Step 0 has p1 = M/N = 7/16; find a seed whose step-0 draw is 50 of 100.
+    problem = first_m_problem(4, 7)
+    seed = next(s for s in range(10_000)
+                if sample_bit(7 / 16, 100, derive_seed(s, 0)) == 50)
+    est = run_simple_count(problem, CountingConfig(shots=100, seed=seed))
+    assert est.trace[0].ones == 50
+    assert est.k_final == 0 and est.halted_on_threshold
+
+
+@pytest.mark.parametrize("engine", ["analytic", "statevector"])
+def test_single_shot_is_sampled(engine):
+    est = run_simple_count(first_m_problem(6, 1), CountingConfig(shots=1, seed=3, engine=engine))
+    for step in est.trace:
+        assert step.shots == 1 and step.ones in (0, 1)
+        assert step.p1_hat == step.ones
+    assert est.halted_on_threshold == (est.trace[-1].ones == 1)
+
+
+class CountingOracle:
+    """Delegates to an oracle and counts the basis indices `select` evaluates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.evaluated = 0
+
+    def select(self, xs):
+        self.evaluated += len(xs)
+        return self.inner.select(xs)
+
+    def count(self):
+        return self.inner.count()
+
+
+@pytest.mark.parametrize("inner", [
+    BitPatternOracle(22, (1 << 22) - 1),
+    ExplicitSetOracle(22, (12345,)),
+    ExplicitSetOracle(22, ()),
+])
+def test_statevector_engine_memory_is_bounded(inner):
+    # A 2**22-float state vector alone would be 32 MiB.
+    oracle = CountingOracle(inner)
+    problem = GroverProblem(22, oracle)
+    tracemalloc.start()
+    try:
+        est = run_simple_count(problem, CountingConfig(engine="statevector"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert oracle.evaluated == problem.N
+    assert abs(est.m_hat - inner.count()) <= 1e-6 * inner.count()
