@@ -71,6 +71,52 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+_NUMBERS = {int, float, bool}
+
+
+def _numeric_depth(value) -> int:
+    """1 for a non-empty list of numbers, 2 for a non-empty list of such lists, else 0."""
+    if not isinstance(value, (list, tuple)) or not value:
+        return 0
+    kinds = set(map(type, value))
+    if kinds <= _NUMBERS:
+        return 1
+    if kinds <= {list, tuple} and all(value):
+        return 2 if set(map(type, itertools.chain.from_iterable(value))) <= _NUMBERS else 0
+    return 0
+
+
+def _holds_numbers(value) -> bool:
+    """Whether value is, or is a dict that nests, a list with ``_numeric_depth`` > 0."""
+    if isinstance(value, dict):
+        return any(map(_holds_numbers, value.values()))
+    return _numeric_depth(value) > 0
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, written at indent ``pad`` (a newline plus spaces).
+
+    With ``indent`` set, json encodes in pure Python, one value per call. A
+    numeric list (``_numeric_depth`` > 0) takes one call of json's C encoder
+    instead and is re-indented with ``str.replace``: a number's text holds no
+    ``", "`` or bracket. A dict holding such a list is written key by key (its
+    keys must be str); any other value takes one ``json.dumps(..., indent=2)``.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and any(map(_holds_numbers, obj.values())):
+        items = (f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        return "{" + ",".join(items) + pad + "}"
+    depth = _numeric_depth(obj)
+    if depth == 1:
+        return "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + pad + "]"
+    if depth == 2:
+        deep = inner + "  "
+        body = json.dumps(obj)[2:-2].replace(", ", "," + deep)
+        body = body.replace(f"],{deep}[", f"{inner}],{inner}[{deep}")
+        return f"[{inner}[{deep}{body}{inner}]{pad}]"
+    return json.dumps(obj, indent=2).replace("\n", pad)
+
+
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, **_CSV_KW)
@@ -144,9 +190,9 @@ def _pea_json(res: PEAResult) -> dict:
         "m_hat": res.m_hat,
         "phi_hat": res.phi_hat,
         "t": res.t,
-        "best_pair": list(res.best_pair),
+        "best_pair": res.best_pair,
         "best_pair_probability": res.best_pair_probability,
-        "paired_prob": [[lo, hi, prob] for lo, hi, prob in res.paired_prob],
+        "paired_prob": res.paired_prob,
         "histogram": res.histogram.tolist(),
         "controlled_grover_cost": res.controlled_grover_cost,
     }
@@ -170,12 +216,13 @@ _READOUTS = {
 
 
 def cmd_run(args) -> int:
+    """One estimator run, as CSV or as JSON byte-identical to ``json.dumps(..., indent=2)``."""
     problem = ensure_minority(GroverProblem(args.n, parse_oracle(args.oracle, args.n)))
     echo = _spec_echo(args, problem)
     result = _execute(args, problem, args.seed)
     header, to_json, to_cells = _READOUTS[args.algo]
     if args.format == "json":
-        text = json.dumps({"spec": echo, "result": to_json(result)}, indent=2) + "\n"
+        text = _json_text({"spec": echo, "result": to_json(result)}) + "\n"
     else:
         row = {**echo, **to_cells(result)}
         text = _csv_text(header, [[row[key] for key in header]])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -156,18 +157,22 @@ def pea_state(problem: GroverProblem, t: int) -> Statevector:
 
 
 def _mirror_pairs(fractions: np.ndarray, t: int) -> tuple[tuple[int, int, float], ...]:
-    size = 1 << t
-    pairs = []
-    for lo in range((size >> 1) + 1):
-        hi = (size - lo) % size
-        prob = float(fractions[lo]) if hi == lo else float(fractions[lo] + fractions[hi])
-        pairs.append((lo, hi, prob))
-    return tuple(pairs)
+    """(lo, hi, probability) of each outcome pair {lo, 2**t - lo}, lo = 0..2**(t-1).
+
+    Outcomes 0 and 2**(t-1) are their own mirrors and keep their own
+    fraction; every other pair sums its two, one IEEE addition each: the
+    mirrors of lo = 1..2**(t-1) - 1 are the outcomes above 2**(t-1), reversed.
+    """
+    half = 1 << (t - 1)
+    probs = fractions[: half + 1].copy()
+    probs[1:half] += fractions[:half:-1]
+    mirrors = [0, *range(2 * half - 1, half - 1, -1)]
+    return tuple(zip(range(half + 1), mirrors, probs.tolist()))
 
 
 def _best_pair(pairs: tuple[tuple[int, int, float], ...]) -> tuple[int, int, float]:
     """Pair with maximal probability; exact ties go to the smaller phase."""
-    return max(pairs, key=lambda pair: pair[2])
+    return max(pairs, key=itemgetter(2))
 
 
 def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:

@@ -123,3 +123,14 @@ def exact_overlaps(n: int, M: int, count: int) -> np.ndarray:
         overlaps[d] = prev / (1 << (n * d))
         prev, b = b, 2 * step * b - (prev << (2 * n))
     return overlaps
+
+
+def mirror_pairs_loop(fractions: np.ndarray, t: int) -> tuple:
+    """(lo, hi, probability) of each outcome pair {lo, 2**t - lo}, one pair at a time."""
+    size = 1 << t
+    pairs = []
+    for lo in range((size >> 1) + 1):
+        hi = (size - lo) % size
+        prob = float(fractions[lo]) if hi == lo else float(fractions[lo] + fractions[hi])
+        pairs.append((lo, hi, prob))
+    return tuple(pairs)

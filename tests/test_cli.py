@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcount.cli import (
     FIGURES,
@@ -11,12 +12,15 @@ from qcount.cli import (
     RUN_CSV_HEADER_PEA,
     RUN_CSV_HEADER_SIMPLE,
     SWEEP_CSV_HEADER,
+    _estimate_json,
+    _json_text,
+    _pea_json,
     main,
 )
 from qcount.grover import GroverProblem, grover_overlaps
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
 from qcount.pea import PEAConfig, run_pea
-from qcount.simple_count import halt_bound
+from qcount.simple_count import CountingConfig, halt_bound, run_simple_count
 
 
 def run_cli(capsys, *argv):
@@ -337,3 +341,51 @@ def test_selftest_reports_a_failed_check(monkeypatch, capsys):
     assert code == 1
     assert "FAIL  closed form matches simulation" in out
     assert "4/5 checks passed" in out
+
+
+_numbers = st.one_of(
+    st.integers(),
+    st.sampled_from([2**70, -(2**70), 0, True, False]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-12, 2.5e-308]),
+)
+_vectors = st.lists(_numbers, min_size=1)
+_json_leaves = st.one_of(
+    _numbers, st.none(), st.text(), st.sampled_from([", ", "], [", "1, 2", "\n"]),
+    _vectors, _vectors.map(tuple),
+    st.lists(st.one_of(_vectors, _vectors.map(tuple)), min_size=1),
+    st.lists(st.lists(_numbers, max_size=2), min_size=1),
+    st.lists(st.one_of(_numbers, st.text(max_size=3), st.none()), min_size=1),
+    st.just([]), st.just(()), st.just({}),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_json_trees)
+def test_json_text_matches_indented_dumps(tree):
+    # Numeric lists, tuples, lists of them (empty inner lists too), bools as
+    # ints, nan/inf/-0.0, big ints and strings that look like separators.
+    assert _json_text(tree) == json.dumps(tree, indent=2)
+    wrapped = {"spec": {"n": 1}, "result": tree}
+    assert _json_text(wrapped) == json.dumps(wrapped, indent=2)
+
+
+@pytest.mark.parametrize("engine", ["analytic", "statevector"])
+def test_json_text_matches_indented_dumps_on_results(engine):
+    problem = GroverProblem(4, ExplicitSetOracle(4, (3, 9, 12)))
+    for shots in (0, 100):
+        for t in range(1, 17):
+            res = {"result": _pea_json(run_pea(problem, PEAConfig(t=t, shots=shots, seed=t,
+                                                                  engine=engine)))}
+            assert _json_text(res) == json.dumps(res, indent=2), (t, shots)
+        est = _estimate_json(run_simple_count(problem, CountingConfig(shots=shots, engine=engine)))
+        assert _json_text(est) == json.dumps(est, indent=2)

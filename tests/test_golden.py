@@ -57,6 +57,17 @@ RUN_DIGESTS = {
         "00d283a21014f82c93ee36cbf9e11de5b67ab3de5064f044816026d6cb9dc9d3",
 }
 
+# shots -> digest of analytic `run --algo pea --n 24 --oracle mask:0xfffffe --t 14`
+# JSON on stdout. At t = 14 the outcomes reach reprs like 1e-12 that the
+# t = 6 cases above never print. Recorded by running commit 259dec1, whose
+# `cmd_run` still wrote through `json.dumps(..., indent=2)`.
+LARGE_T_PEA_DIGESTS = {
+    'exact':
+        "c9e54c814f46c802066553096c715bbd2bafc33ed24d0631a6d87f106a53fa93",
+    'sampled':
+        "e2f9f966dac16c2728164f88102a9c32982423cf6381ba6a26dc789554c1e8a4",
+}
+
 # (algorithm, shots) -> digest of the sweep CSV.
 SWEEP_DIGESTS = {
     ('simple', '0'):
@@ -97,6 +108,13 @@ def test_run_output_matches_recorded_digest(case):
         argv += ["--t", "6"]
     argv += ["--shots", "0"] if shots == "exact" else ["--shots", "100", "--seed", "5"]
     assert _sha256(_stdout_of(argv)) == RUN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("shots", sorted(LARGE_T_PEA_DIGESTS))
+def test_large_t_pea_run_matches_recorded_digest(shots):
+    argv = ["run", "--algo", "pea", "--n", "24", "--oracle", "mask:0xfffffe", "--t", "14"]
+    argv += ["--shots", "0"] if shots == "exact" else ["--shots", "1000", "--seed", "5"]
+    assert _sha256(_stdout_of(argv)) == LARGE_T_PEA_DIGESTS[shots]
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_DIGESTS), ids="-".join)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from qcount.grover import GroverProblem, grover_angle
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
 from qcount.pea import (
     PEAConfig,
+    _best_pair,
+    _mirror_pairs,
     _overlap_distribution,
     inverse_qft,
     pea_cost,
@@ -38,6 +41,21 @@ def test_required_t_examples():
         required_t(3, 0.0)
     with pytest.raises(ValueError):
         required_t(3, 1.0)
+
+
+def _smallest_t(m, epsilon):
+    # Smallest t with 2**(t - m) >= 2 + 1/(2*epsilon), in exact rationals.
+    bound = 2 + 1 / (2 * Fraction(epsilon))
+    t = m
+    while 2 ** (t - m) < bound:
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.08, 0.2, 0.25, 0.49])
+def test_required_t_table(epsilon):
+    for m in range(1, 9):
+        assert required_t(m, epsilon) == _smallest_t(m, epsilon), (m, epsilon)
 
 
 def test_inverse_qft_single_qubit_is_hadamard():
@@ -272,3 +290,18 @@ def test_single_shot_is_sampled(engine):
     assert res.histogram.dtype.kind == "i"
     assert res.histogram.sum() == 1
     assert res.best_pair_probability == 1.0
+
+
+@pytest.mark.parametrize("engine", ["analytic", "statevector"])
+def test_mirror_pairs_match_reference_loop(engine):
+    # t = 1 has only the self-mirrored pairs {0} and {1}.
+    problem = GroverProblem(5, ExplicitSetOracle(5, (3, 17, 30)))
+    for t in range(1, 15):
+        exact = run_pea(problem, PEAConfig(t=t, engine=engine))
+        sampled = run_pea(problem, PEAConfig(t=t, shots=333, seed=t, engine=engine))
+        for fractions in (exact.histogram, sampled.histogram / 333):
+            pairs = _mirror_pairs(fractions, t)
+            assert pairs == dense_ref.mirror_pairs_loop(fractions, t)
+            assert {tuple(map(type, pair)) for pair in pairs} == {(int, int, float)}
+            assert _best_pair(pairs) == max(pairs, key=lambda pair: pair[2])
+        assert exact.paired_prob == dense_ref.mirror_pairs_loop(exact.histogram, t)
