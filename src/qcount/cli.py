@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -34,8 +35,6 @@ from .simple_count import (
     run_simple_count,
 )
 from .statevector import ResourceLimitError, derive_seed
-
-_CSV_KW = {"delimiter": ",", "lineterminator": "\n"}
 
 RUN_CSV_HEADER_SIMPLE = [
     "algorithm", "n", "n_run", "N", "M", "oracle", "engine", "shots", "seed",
@@ -119,10 +118,9 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, **_CSV_KW)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
     return buf.getvalue()
 
 
@@ -488,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", required=True, help="oracle spec: set:3,5,12 or mask:0b101100")
     add_common(run)
     run.add_argument("--format", choices=("csv", "json"), default="json")
-    run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="cartesian sweep over n and M, one CSV row per run")
     sweep.add_argument("--algo", choices=("simple", "pea"), required=True)
@@ -498,31 +495,34 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sweep)
     sweep.add_argument("--timing", action="store_true",
                        help="fill the wall_time_s column (makes output non-reproducible)")
-    sweep.set_defaults(func=cmd_sweep)
 
     repro = sub.add_parser("repro", help="reproduce a canned experiment configuration")
     repro.add_argument("figure", help="figure id, fig3 through fig16")
     repro.add_argument("--out-dir", default=".", help="directory for CSV/SVG output")
     repro.add_argument("--seed", type=int, default=0)
-    repro.set_defaults(func=cmd_repro)
 
-    selftest = sub.add_parser("selftest", help="run fast internal consistency checks")
-    selftest.set_defaults(func=cmd_selftest)
+    sub.add_parser("selftest", help="run fast internal consistency checks")
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one ``qcount`` command and return its exit code; callable repeatedly in one process.
+
+    The parser is built on the first call and reused. argparse usage errors raise SystemExit(2).
+    """
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a rebinding of a cmd_* module attribute takes effect.
+    command = {"run": cmd_run, "sweep": cmd_sweep, "repro": cmd_repro, "selftest": cmd_selftest}
     try:
         if getattr(args, "algo", None) == "pea" and args.t is None:
             raise ValueError("--t is required for --algo pea")
-        return args.func(args)
-    except ResourceLimitError as exc:
+        return command[args.command](args)
+    except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, ResourceLimitError) else 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from qcount.cli import (
     _estimate_json,
     _json_text,
     _pea_json,
+    build_parser,
     main,
 )
 from qcount.grover import GroverProblem, grover_overlaps
@@ -341,6 +342,63 @@ def test_selftest_reports_a_failed_check(monkeypatch, capsys):
     assert code == 1
     assert "FAIL  closed form matches simulation" in out
     assert "4/5 checks passed" in out
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; a SystemExit counts by its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_holds_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    out_file = tmp_path / "run.json"
+    simple = ["run", "--algo", "simple", "--n", "5", "--oracle", "set:3,9", "--shots", "20"]
+    pea = ["run", "--algo", "pea", "--n", "5", "--oracle", "set:3,9"]
+    sweep = ["sweep", "--algo", "simple", "--n-values", "4,5", "--m-values", "1,2", "--shots", "30"]
+    sequence = [
+        ["run", "--n", "5", "--oracle", "set:3,9"],  # no --algo: argparse usage error
+        simple,
+        sweep + ["--timing"],
+        sweep,
+        pea,  # no --t
+        pea + ["--t", "4"],
+        simple + ["--out", str(out_file)],
+        simple,
+    ]
+    outcomes = []
+    for argv in sequence:
+        got = _outcome(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr("qcount.cli._parser", build_parser)
+            want = _outcome(capsys, argv)
+        if "--timing" not in argv:  # wall_time_s differs from run to run
+            assert got == want, argv
+        outcomes.append(got)
+    usage, _, timed, untimed, no_t, _, to_file, to_stdout = outcomes
+    assert usage[0] == 2 and "--algo" in usage[2]
+    assert timed[0] == 0
+    assert all(row["wall_time_s"] for row in csv.DictReader(timed[1].splitlines()))
+    assert [row["wall_time_s"] for row in csv.DictReader(untimed[1].splitlines())] == [""] * 4
+    assert no_t == (2, "", "error: --t is required for --algo pea\n")
+    assert to_file[:2] == (0, "") and out_file.read_text() == to_stdout[1]
+
+
+def test_dispatch_reads_the_current_cmd_binding(tmp_path, monkeypatch, capsys):
+    argv = ["repro", "fig3", "--out-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == 0  # builds the cached parser, if no test did yet
+    figures = []
+
+    def recorder(args):
+        figures.append(args.figure)
+        return 0
+
+    monkeypatch.setattr("qcount.cli.cmd_repro", recorder)
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert figures == ["fig3"]
 
 
 _numbers = st.one_of(

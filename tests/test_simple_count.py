@@ -265,6 +265,12 @@ def test_config_validation():
         CountingConfig(engine="qasm")
 
 
+def test_threshold_bound_is_inclusive_at_one():
+    assert CountingConfig(threshold=1.0).threshold == 1.0
+    with pytest.raises(ValueError, match=r"threshold must be in \(0, 1\]"):
+        CountingConfig(threshold=1.0000000000000002)
+
+
 def test_overlap_engine_matches_gate_level_reference():
     rng = np.random.default_rng(2019)
     for n in range(1, 9):

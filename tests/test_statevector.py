@@ -208,6 +208,12 @@ def test_sample_bit():
         sample_bit(0.5, 0, 0)
 
 
+def test_sample_bit_refuses_p1_one_ulp_above_one():
+    # numpy's binomial refuses p > 1 too, with its own message; the bound must be sample_bit's.
+    with pytest.raises(ValueError, match=r"probability must be in \[0, 1\]"):
+        sample_bit(1.0000000000000002, 10, 0)
+
+
 def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
     seen = {derive_seed(0, k) for k in range(1000)}
