@@ -1,5 +1,6 @@
 """Quantum counting toolkit: amplitude-amplification counting with a
-phase-estimation baseline, on an exact dense statevector simulator.
+phase-estimation baseline, computed from the Grover overlaps <s|G^d|s>
+(in closed form, or by an exact recurrence in the oracle's marked count).
 
 The names exported here are the run API; the gate-level circuit references
 are imported from their own modules."""

@@ -25,7 +25,7 @@ import numpy as np
 from .charts import Series, line_chart
 from .grover import GroverProblem, grover_angle, marked_count
 from .oracles import ExplicitSetOracle, PrefixOracle, parse_oracle
-from .pea import PEAConfig, PEAResult, pea_cost, run_pea
+from .pea import PEAConfig, PEAResult, mirror_outcome, pea_cost, run_pea
 from .simple_count import (
     ENGINES,
     CountEstimate,
@@ -70,49 +70,27 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-_NUMBERS = {int, float, bool}
-
-
-def _numeric_depth(value) -> int:
-    """1 for a non-empty list of numbers, 2 for a non-empty list of such lists, else 0."""
-    if not isinstance(value, (list, tuple)) or not value:
-        return 0
-    kinds = set(map(type, value))
-    if kinds <= _NUMBERS:
-        return 1
-    if kinds <= {list, tuple} and all(value):
-        return 2 if set(map(type, itertools.chain.from_iterable(value))) <= _NUMBERS else 0
-    return 0
-
-
-def _holds_numbers(value) -> bool:
-    """Whether value is, or is a dict that nests, a list with ``_numeric_depth`` > 0."""
-    if isinstance(value, dict):
-        return any(map(_holds_numbers, value.values()))
-    return _numeric_depth(value) > 0
-
-
 def _json_text(obj, pad: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, written at indent ``pad`` (a newline plus spaces).
+    """``json.dumps(obj, indent=2)`` with each numpy array as its ``.tolist()``, at indent ``pad``.
 
     With ``indent`` set, json encodes in pure Python, one value per call. A
-    numeric list (``_numeric_depth`` > 0) takes one call of json's C encoder
-    instead and is re-indented with ``str.replace``: a number's text holds no
-    ``", "`` or bracket. A dict holding such a list is written key by key (its
-    keys must be str); any other value takes one ``json.dumps(..., indent=2)``.
+    non-empty 1-D array, plain or a record array of numeric fields, takes one
+    call of json's C encoder instead and is re-indented with ``str.replace``:
+    a number's text holds no ``", "`` or bracket. A dict holding an array or a
+    dict is written key by key (its keys must be str); any other value takes
+    one ``json.dumps(..., indent=2)``.
     """
     inner = pad + "  "
-    if isinstance(obj, dict) and any(map(_holds_numbers, obj.values())):
+    if isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray)) for v in obj.values()):
         items = (f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
         return "{" + ",".join(items) + pad + "}"
-    depth = _numeric_depth(obj)
-    if depth == 1:
-        return "[" + inner + json.dumps(obj)[1:-1].replace(", ", "," + inner) + pad + "]"
-    if depth == 2:
+    if isinstance(obj, np.ndarray) and obj.dtype.names:
         deep = inner + "  "
-        body = json.dumps(obj)[2:-2].replace(", ", "," + deep)
+        body = json.dumps(obj.tolist())[2:-2].replace(", ", "," + deep)
         body = body.replace(f"],{deep}[", f"{inner}],{inner}[{deep}")
         return f"[{inner}[{deep}{body}{inner}]{pad}]"
+    if isinstance(obj, np.ndarray):
+        return "[" + inner + json.dumps(obj.tolist())[1:-1].replace(", ", "," + inner) + pad + "]"
     return json.dumps(obj, indent=2).replace("\n", pad)
 
 
@@ -184,14 +162,15 @@ def _estimate_cells(est: CountEstimate) -> dict:
 
 
 def _pea_json(res: PEAResult) -> dict:
+    lo = np.arange(res.paired_prob.size)
     return {
         "m_hat": res.m_hat,
         "phi_hat": res.phi_hat,
         "t": res.t,
         "best_pair": res.best_pair,
         "best_pair_probability": res.best_pair_probability,
-        "paired_prob": res.paired_prob,
-        "histogram": res.histogram.tolist(),
+        "paired_prob": np.rec.fromarrays([lo, mirror_outcome(lo, res.t), res.paired_prob]),
+        "histogram": res.histogram,
         "controlled_grover_cost": res.controlled_grover_cost,
     }
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -57,13 +56,13 @@ class PEAConfig:
 class PEAResult:
     """Outcome histogram with mirror-pair aggregation and the extracted estimate.
 
-    ``histogram`` holds probabilities (shots=0) or counts (shots>0);
-    ``paired_prob`` maps each unordered outcome pair {j, 2**t - j}, keyed by
-    its low member, to its summed probability fraction.
+    ``histogram`` holds probabilities (shots=0) or counts (shots>0) of outcomes
+    0..2**t - 1; ``paired_prob[lo]``, a float64 array over lo = 0..2**(t-1),
+    is the summed fraction of the unordered outcome pair {lo, mirror_outcome(lo, t)}.
     """
 
     histogram: np.ndarray
-    paired_prob: tuple[tuple[int, int, float], ...]
+    paired_prob: np.ndarray
     best_pair: tuple[int, int]
     phi_hat: float
     m_hat: float
@@ -73,8 +72,7 @@ class PEAResult:
 
     @property
     def best_pair_probability(self) -> float:
-        # paired_prob is built in order of its low members 0, 1, ..., 2**(t-1).
-        return self.paired_prob[self.best_pair[0]][2]
+        return float(self.paired_prob[self.best_pair[0]])
 
     @property
     def controlled_grover_cost(self) -> int:
@@ -156,23 +154,27 @@ def pea_state(problem: GroverProblem, t: int) -> Statevector:
     return state
 
 
-def _mirror_pairs(fractions: np.ndarray, t: int) -> tuple[tuple[int, int, float], ...]:
-    """(lo, hi, probability) of each outcome pair {lo, 2**t - lo}, lo = 0..2**(t-1).
+def mirror_outcome(j, t: int):
+    """Outcome (2**t - j) mod 2**t, which encodes the same M as j (j may be an int array)."""
+    return -j % (1 << t)
 
-    Outcomes 0 and 2**(t-1) are their own mirrors and keep their own
-    fraction; every other pair sums its two, one IEEE addition each: the
-    mirrors of lo = 1..2**(t-1) - 1 are the outcomes above 2**(t-1), reversed.
+
+def _mirror_pairs(fractions: np.ndarray, t: int) -> np.ndarray:
+    """Fraction of each outcome pair {lo, mirror_outcome(lo, t)}, indexed by lo = 0..2**(t-1).
+
+    Outcomes 0 and 2**(t-1) are their own mirrors; every other pair sums its
+    two in one IEEE addition (the mirrors of 1..2**(t-1) - 1, reversed, are the outcomes above).
     """
     half = 1 << (t - 1)
     probs = fractions[: half + 1].copy()
     probs[1:half] += fractions[:half:-1]
-    mirrors = [0, *range(2 * half - 1, half - 1, -1)]
-    return tuple(zip(range(half + 1), mirrors, probs.tolist()))
+    return probs
 
 
-def _best_pair(pairs: tuple[tuple[int, int, float], ...]) -> tuple[int, int, float]:
-    """Pair with maximal probability; exact ties go to the smaller phase."""
-    return max(pairs, key=itemgetter(2))
+def _best_pair(pairs: np.ndarray, t: int) -> tuple[int, int]:
+    """(lo, hi) of the most probable pair; argmax's first maximum gives ties to the smaller phase."""
+    lo = int(np.argmax(pairs))
+    return lo, mirror_outcome(lo, t)
 
 
 def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:
@@ -203,16 +205,15 @@ def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:
         histogram = counts.astype(np.int64)
         fractions = counts / config.shots
     else:
-        histogram = probs
-        fractions = probs
+        histogram = fractions = probs
 
     pairs = _mirror_pairs(fractions, config.t)
-    best_lo, best_hi, _ = _best_pair(pairs)
-    phi_hat = best_lo / float(1 << config.t)
+    best_pair = _best_pair(pairs, config.t)
+    phi_hat = best_pair[0] / float(1 << config.t)
     return PEAResult(
         histogram=histogram,
         paired_prob=pairs,
-        best_pair=(best_lo, best_hi),
+        best_pair=best_pair,
         phi_hat=phi_hat,
         m_hat=N * math.sin(math.pi * phi_hat) ** 2,
         t=config.t,

@@ -98,13 +98,10 @@ def default_max_k(n: int) -> int:
 
 
 def halt_bound(N: int, M: int) -> int:
-    """Latest halting step ceil(log2(sqrt(N/M))), in exact integer arithmetic."""
+    """Latest halting step ceil(log2(sqrt(N/M))): the least k >= 0 with 4**k > (N - 1) // M."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    k = 0
-    while (M << (2 * k)) < N:
-        k += 1
-    return k
+    return (((N - 1) // M).bit_length() + 1) // 2
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

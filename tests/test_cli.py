@@ -3,8 +3,10 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qcount.cli import (
     FIGURES,
@@ -401,40 +403,43 @@ def test_dispatch_reads_the_current_cmd_binding(tmp_path, monkeypatch, capsys):
     assert figures == ["fig3"]
 
 
-_numbers = st.one_of(
-    st.integers(),
-    st.sampled_from([2**70, -(2**70), 0, True, False]),
+_floats = st.one_of(
     st.floats(),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e-12, 2.5e-308]),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-308, 1e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e308, 1e-12]),
 )
-_vectors = st.lists(_numbers, min_size=1)
-_json_leaves = st.one_of(
-    _numbers, st.none(), st.text(), st.sampled_from([", ", "], [", "1, 2", "\n"]),
-    _vectors, _vectors.map(tuple),
-    st.lists(st.one_of(_vectors, _vectors.map(tuple)), min_size=1),
-    st.lists(st.lists(_numbers, max_size=2), min_size=1),
-    st.lists(st.one_of(_numbers, st.text(max_size=3), st.none()), min_size=1),
-    st.just([]), st.just(()), st.just({}),
+_lengths = st.integers(min_value=1, max_value=40)
+
+
+def _columns(size):
+    return st.tuples(arrays(np.int64, size), arrays(np.int64, size),
+                     arrays(np.float64, size, elements=_floats))
+
+
+# Non-empty 1-D float64 and int64 arrays, and (int, int, float) record arrays
+# like a pea result's paired_prob.
+_json_arrays = st.one_of(
+    arrays(np.float64, _lengths, elements=_floats),
+    arrays(np.int64, _lengths),
+    _lengths.flatmap(_columns).map(np.rec.fromarrays),
 )
-_json_trees = st.recursive(
-    _json_leaves,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(max_size=4), children, max_size=4),
-    ),
-    max_leaves=12,
-)
+_json_scalars = st.one_of(_floats, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+                          st.sampled_from([", ", "], [", "1, 2", "\n"]))
+
+
+def _indented_dumps(obj):
+    return json.dumps(obj, indent=2, default=lambda array: array.tolist())
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
-@given(_json_trees)
-def test_json_text_matches_indented_dumps(tree):
-    # Numeric lists, tuples, lists of them (empty inner lists too), bools as
-    # ints, nan/inf/-0.0, big ints and strings that look like separators.
-    assert _json_text(tree) == json.dumps(tree, indent=2)
-    wrapped = {"spec": {"n": 1}, "result": tree}
-    assert _json_text(wrapped) == json.dumps(wrapped, indent=2)
+@given(_json_arrays, st.dictionaries(st.text(max_size=4), _json_scalars, max_size=3),
+       st.text(max_size=4))
+def test_json_text_matches_indented_dumps(array, fields, key):
+    # nan/inf/-0.0, subnormals, values near 1e+-308 and the int64 extremes,
+    # alone and nested in a run document among strings that look like separators.
+    assert _json_text(array) == _indented_dumps(array)
+    wrapped = {"spec": {"n": 1}, "result": {**fields, "cost": 7, key: array}}
+    assert _json_text(wrapped) == _indented_dumps(wrapped)
 
 
 @pytest.mark.parametrize("engine", ["analytic", "statevector"])
@@ -444,6 +449,6 @@ def test_json_text_matches_indented_dumps_on_results(engine):
         for t in range(1, 17):
             res = {"result": _pea_json(run_pea(problem, PEAConfig(t=t, shots=shots, seed=t,
                                                                   engine=engine)))}
-            assert _json_text(res) == json.dumps(res, indent=2), (t, shots)
+            assert _json_text(res) == _indented_dumps(res), (t, shots)
         est = _estimate_json(run_simple_count(problem, CountingConfig(shots=shots, engine=engine)))
         assert _json_text(est) == json.dumps(est, indent=2)

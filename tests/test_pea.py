@@ -1,10 +1,13 @@
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qcount.analytic import pea_distribution
+from qcount.cli import _json_text, _pea_json
 from qcount.grover import GroverProblem, grover_angle
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
 from qcount.pea import (
@@ -207,7 +210,7 @@ def test_sampled_mode_counts_and_determinism():
     assert res.histogram.dtype == np.int64
     again = run_pea(problem, config)
     assert np.array_equal(res.histogram, again.histogram)
-    total = sum(prob for _, _, prob in res.paired_prob)
+    total = res.paired_prob.sum()
     assert abs(total - 1.0) < 1e-12
     # 1024 shots put the dominant pair close to its exact 0.98 weight.
     assert abs(res.best_pair_probability - 0.98) < 0.03
@@ -220,15 +223,13 @@ def test_majority_rejected_but_half_allowed():
 
 
 def test_tie_breaks_toward_smaller_phase():
-    from qcount.pea import _best_pair, _mirror_pairs
-
     # Exactly tied pairs (counts make ties exact): {1,7} and {2,6} both 0.25.
     fractions = np.array([0.5, 0.25, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0])
     pairs = _mirror_pairs(fractions, 3)
-    assert _best_pair(pairs)[:2] == (0, 0)
+    assert _best_pair(pairs, 3) == (0, 0)
 
     fractions = np.array([0.0, 0.25, 0.25, 0.0, 0.0, 0.0, 0.25, 0.25])
-    assert _best_pair(_mirror_pairs(fractions, 3))[:2] == (1, 7)
+    assert _best_pair(_mirror_pairs(fractions, 3), 3) == (1, 7)
 
     # Half-marked space at t=1 splits evenly up to rounding; both outcomes
     # are self-paired and the winner reads the phase directly.
@@ -301,7 +302,24 @@ def test_mirror_pairs_match_reference_loop(engine):
         sampled = run_pea(problem, PEAConfig(t=t, shots=333, seed=t, engine=engine))
         for fractions in (exact.histogram, sampled.histogram / 333):
             pairs = _mirror_pairs(fractions, t)
-            assert pairs == dense_ref.mirror_pairs_loop(fractions, t)
-            assert {tuple(map(type, pair)) for pair in pairs} == {(int, int, float)}
-            assert _best_pair(pairs) == max(pairs, key=lambda pair: pair[2])
-        assert exact.paired_prob == dense_ref.mirror_pairs_loop(exact.histogram, t)
+            reference = dense_ref.mirror_pairs_loop(fractions, t)
+            assert np.array_equal(pairs, [prob for _, _, prob in reference])
+            assert _best_pair(pairs, t) == max(reference, key=lambda pair: pair[2])[:2]
+        triples = json.loads(_json_text(_pea_json(exact)))["paired_prob"]
+        assert triples == [list(pair) for pair in dense_ref.mirror_pairs_loop(exact.histogram, t)]
+        assert {tuple(map(type, triple)) for triple in triples} == {(int, int, float)}
+
+
+def test_large_result_retains_only_its_arrays():
+    # A t = 18 result holds the 2**18 histogram and the 2**17 + 1 pair
+    # probabilities as float64 arrays, not one Python object per pair.
+    problem = GroverProblem(40, BitPatternOracle(40, 0xFFFFFFFFF0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run_pea(problem, PEAConfig(t=18))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.paired_prob.shape == ((1 << 17) + 1,)
+    assert retained <= 1.25 * ((1 << 18) + (1 << 17) + 1) * 8

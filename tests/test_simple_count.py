@@ -68,10 +68,12 @@ def test_halt_bound_examples():
 
 
 def test_halt_bound_is_exact_integer_arithmetic():
-    # ceil(log2(sqrt(N/M))) == smallest k with M*4^k >= N
-    for n in range(1, 20):
+    # ceil(log2(sqrt(N/M))) == smallest k with M*4^k >= N, up to the 62-qubit
+    # index limit; M = N / 4**j and its neighbours sit on the step boundaries.
+    for n in range(1, 63):
         N = 1 << n
-        for M in (1, 2, 3, 5, N // 4 + 1, N // 2 - 1, N - 1, N):
+        boundaries = [(N >> (2 * j)) + d for j in range(n // 2 + 1) for d in (-1, 0, 1)]
+        for M in (1, 2, 3, 5, N // 4 + 1, N // 2 - 1, N - 1, N, *boundaries):
             if M < 1 or M > N:
                 continue
             k = halt_bound(N, M)
