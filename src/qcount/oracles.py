@@ -16,7 +16,11 @@ from typing import Iterator, Union
 
 import numpy as np
 
-_CHUNK = 1 << 20
+# Basis indices per enumeration block. At 2^14 a block's int64 temporaries (the
+# index range and `select`'s intermediates) are 128 KiB, which the allocator
+# reuses from its heap; from 2^15 up they are mapped and page-faulted afresh on
+# every pass, and smaller blocks pay more per-block overhead at large n.
+_CHUNK = 1 << 14
 
 
 def _check_n(n: int) -> None:

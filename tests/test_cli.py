@@ -104,6 +104,10 @@ def test_run_errors(capsys):
     code, _, err = run_cli(capsys, "run", "--algo", "pea", "--n", "3", "--oracle", "set:1")
     assert code == 2 and "--t" in err
 
+    code, _, err = run_cli(capsys, "run", "--algo", "pea", "--n", "3", "--oracle", "set:1",
+                           "--t", "0")
+    assert code == 2 and "t must be >= 1, got 0" in err
+
 
 def test_csv_floats_have_12_significant_digits(capsys):
     code, out, _ = run_cli(
@@ -303,7 +307,7 @@ def test_analytic_runs_never_enumerate(monkeypatch, capsys):
 def test_doubling_past_62_bits_names_the_doubling(capsys):
     # mask:0x1 marks half of the 62-bit space, so it would run doubled on 63 qubits.
     code, _, err = run_cli(capsys, "run", "--algo", "simple", "--n", "62", "--oracle", "mask:0x1")
-    assert code == 2 and "doubl" in err and "62" in err
+    assert code == 2 and "doubled to 63 qubits" in err and "62" in err
 
 
 def test_sweep_huge_m_fails_in_bounded_memory(capsys):

@@ -13,7 +13,13 @@ from qcount.grover import (
     grover_overlaps,
     marked_count,
 )
-from qcount.oracles import BitPatternOracle, ExplicitSetOracle, PrefixOracle, marked_indices
+from qcount.oracles import (
+    _CHUNK,
+    BitPatternOracle,
+    ExplicitSetOracle,
+    PrefixOracle,
+    marked_indices,
+)
 from qcount.statevector import Statevector, apply_hadamard, init_basis, probability_of_one
 
 import dense_ref
@@ -294,6 +300,8 @@ def test_vector_walk_matches_engine(n, marked):
 @pytest.mark.parametrize("oracle,M", [
     (BitPatternOracle(22, (1 << 22) - 1), 1),
     (PrefixOracle(22, (1 << 22) - 1), (1 << 22) - 1),
+    # The first and last index of each of the first two enumeration blocks.
+    (ExplicitSetOracle(22, (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, (1 << 22) - 1)), 6),
 ])
 def test_overlaps_stay_exact_at_large_n(oracle, M):
     # With c = 1 - 2M/N within 1e-6 of +-1, 2c*a(d) - a(d-1) computed as

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcount.oracles import (
+    _CHUNK,
     BitPatternOracle,
     ExplicitSetOracle,
     PrefixOracle,
@@ -120,7 +121,8 @@ def test_count_and_widening_match_enumeration(oracle):
         assert np.array_equal(marked_indices(once), marked_indices(oracle) + top)
 
 
-@pytest.mark.parametrize("n,stop", [(1, 0), (1, 2), (3, 5), (4, 16), (6, 33)])
+# (16, _CHUNK + 1) makes marked_indices join marked slices across a block edge.
+@pytest.mark.parametrize("n,stop", [(1, 0), (1, 2), (3, 5), (4, 16), (6, 33), (16, _CHUNK + 1)])
 def test_prefix_matches_explicit_range(n, stop):
     prefix = PrefixOracle(n, stop)
     explicit = ExplicitSetOracle(n, tuple(range(stop)))
