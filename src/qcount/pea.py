@@ -5,10 +5,10 @@ A t-qubit control register drives a ladder of controlled-Grover powers
 accumulated phase back to a basis state, and measuring the register yields
 either j ~ phi * 2**t or its mirror (2**t - j), both encoding the same M.
 
-The statevector engine computes the outcome distribution from the overlaps
-a(0..2**t - 1), which `grover_overlaps` takes from a recurrence in the
-enumerated M, with one FFT; `pea_state` simulates the full (n+t)-qubit
-circuit and is kept as the gate-level reference.
+The statevector engine computes the outcome distribution with one FFT of
+the 2**t overlaps a(0..2**t - 1), which `grover_overlaps` returns as an
+array from a bounded recurrence in the enumerated M; `pea_state` simulates
+the full (n+t)-qubit circuit and is kept as the gate-level reference.
 """
 from __future__ import annotations
 
@@ -196,8 +196,7 @@ def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:
     else:
         # The cap counts the control register, as the simulated circuit does.
         check_width(problem.n + config.t)
-        overlaps = np.fromiter(grover_overlaps(problem), dtype=np.float64, count=1 << config.t)
-        probs = _overlap_distribution(overlaps)
+        probs = _overlap_distribution(grover_overlaps(problem, 1 << config.t))
 
     if config.shots > 0:
         rng = np.random.default_rng(config.seed & _MASK64)

@@ -7,10 +7,11 @@ The loop stops at the first step whose estimated p1 reaches the halting
 threshold; classical post-processing inverts that step's p(k) = p0 - p1 =
 cos(2**k * theta) back to theta and M = N*sin^2(theta/2).
 
-Step k's p1 is (1 - a(2**k))/2 with a(d) = <s|G**d|s>: the analytic engine
-evaluates a(d) = cos(d*theta), the statevector engine takes it from the
-recurrence of `grover_overlaps`. `step_state` simulates the full
-(n+1)-qubit circuit and is kept as the gate-level reference.
+Step k's p1 is (1 - a(2**k))/2 = sin^2(2**k * theta/2), a(d) = <s|G**d|s>.
+The analytic engine evaluates it from theta; the statevector engine steps the
+angle-doubling (r = 4 logistic) map p1 <- 4*p1*(1 - p1), which the half-angle
+post-processing inverts, from p1(0) = M/N with M enumerated. `step_state`
+simulates the full (n+1)-qubit circuit and is kept as the gate-level reference.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from .analytic import p1_exact
 from .grover import (
     GroverProblem,
     controlled_grover_power,
+    enumerated_marked_count,
     grover_angle,
-    grover_overlaps,
     marked_count,
 )
 from .statevector import (
@@ -32,7 +33,6 @@ from .statevector import (
     check_width,
     derive_seed,
     init_basis,
-    probability_of_one,
     sample_bit,
 )
 
@@ -174,11 +174,6 @@ def step_state(problem: GroverProblem, k: int) -> Statevector:
     return state
 
 
-def step_probability_one(problem: GroverProblem, k: int) -> float:
-    """p1 of measurement step k from a full statevector simulation."""
-    return probability_of_one(step_state(problem, k), problem.n)
-
-
 def run_simple_count(problem: GroverProblem, config: CountingConfig | None = None) -> CountEstimate:
     """Run the consecutive-doubling measurement loop and post-process the final step.
 
@@ -195,21 +190,22 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
         raise ValueError(
             f"marked fraction {M}/{N} is not a minority; apply ensure_minority first"
         )
+    max_k = default_max_k(problem.n)
     if config.engine == "analytic":
         angle = grover_angle(N, M)
         p1s = (p1_exact(k, angle) for k in itertools.count())
     else:
         # The cap counts the measurement qubit, as the simulated circuit does.
         check_width(problem.n + 1)
-        # Step k reads a(2**k); the recurrence advances only as far as the loop asks.
-        p1s = (0.5 * (1.0 - a) for d, a in enumerate(grover_overlaps(problem))
-               if d > 0 and d & (d - 1) == 0)
+        # p1(0) = M/N, then at most max_k angle doublings; the map keeps p1 in [0, 1].
+        p1s = itertools.accumulate(range(max_k), lambda p1, _: 4.0 * p1 * (1.0 - p1),
+                                   initial=enumerated_marked_count(problem) / N)
 
     trace: list[StepOutcome] = []
     halted = False
-    for k, p1 in zip(range(default_max_k(problem.n) + 1), p1s):
+    for k, p1 in zip(range(max_k + 1), p1s):
         if config.shots > 0:
-            ones = sample_bit(_clamp(p1, 0.0, 1.0), config.shots, derive_seed(config.seed, k))
+            ones = sample_bit(p1, config.shots, derive_seed(config.seed, k))
             p1_hat = ones / config.shots
         else:
             ones = 0

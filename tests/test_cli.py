@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import tracemalloc
@@ -20,7 +21,7 @@ from qcount.cli import (
     build_parser,
     main,
 )
-from qcount.grover import GroverProblem, grover_overlaps
+from qcount.grover import GroverProblem
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
 from qcount.pea import PEAConfig, run_pea
 from qcount.simple_count import CountingConfig, halt_bound, run_simple_count
@@ -338,15 +339,31 @@ def test_sweep_zero_marked_row(capsys, algo, extra, k_or_t, cost):
         "0", k_or_t, "0", cost, "")
 
 
-def test_selftest_reports_a_failed_check(monkeypatch, capsys):
-    def biased(problem):
-        for overlap in grover_overlaps(problem):
-            yield overlap + 1e-6
+# One fault per selftest check: (module, name, fault wrapping the original, the check it fails).
+SELFTEST_FAULTS = {
+    "halt_bound": ("simple_count", "halt_bound", lambda bound: lambda N, M: bound(N, M) + 2,
+                   "exact recovery and halt window (n <= 8)"),
+    "build_eigenstate": ("grover", "build_eigenstate",
+                         lambda build: lambda problem, sign: build(problem, -sign),
+                         "Grover eigenphase"),
+    "enumerated_marked_count": ("simple_count", "enumerated_marked_count",
+                                lambda count: lambda problem: count(problem) + 1,
+                                "closed form matches simulation"),
+    "pea_distribution": ("pea", "pea_distribution",
+                         lambda dist: lambda t, angle: dist(t, angle) * 1.001,
+                         "estimation engines agree + pairing symmetry"),
+    "pea_cost": ("cli", "pea_cost", lambda cost: lambda t: cost(t) + 1, "cost identities"),
+}
 
-    monkeypatch.setattr("qcount.simple_count.grover_overlaps", biased)
+
+@pytest.mark.parametrize("fault", sorted(SELFTEST_FAULTS))
+def test_selftest_reports_a_failed_check(monkeypatch, capsys, fault):
+    module, name, wrap, check = SELFTEST_FAULTS[fault]
+    module = importlib.import_module(f"qcount.{module}")
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
-    assert "FAIL  closed form matches simulation" in out
+    assert f"\nFAIL  {check}: " in f"\n{out}"
     assert "4/5 checks passed" in out
 
 
@@ -387,7 +404,7 @@ def test_reused_parser_holds_no_state_between_calls(tmp_path, monkeypatch, capsy
     usage, _, timed, untimed, no_t, _, to_file, to_stdout = outcomes
     assert usage[0] == 2 and "--algo" in usage[2]
     assert timed[0] == 0
-    assert all(row["wall_time_s"] for row in csv.DictReader(timed[1].splitlines()))
+    assert all(float(row["wall_time_s"]) >= 0 for row in csv.DictReader(timed[1].splitlines()))
     assert [row["wall_time_s"] for row in csv.DictReader(untimed[1].splitlines())] == [""] * 4
     assert no_t == (2, "", "error: --t is required for --algo pea\n")
     assert to_file[:2] == (0, "") and out_file.read_text() == to_stdout[1]

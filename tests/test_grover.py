@@ -9,6 +9,7 @@ from qcount.grover import (
     apply_grover,
     build_eigenstate,
     controlled_grover_power,
+    enumerated_marked_count,
     grover_angle,
     grover_overlaps,
     marked_count,
@@ -215,10 +216,19 @@ def test_marked_count_bit_pattern_combinatorics():
         mask = int(rng.integers(0, 1 << n))
         problem = GroverProblem(n, BitPatternOracle(n, mask))
         assert marked_count(problem) == 1 << (n - bin(mask).count("1"))
+        assert enumerated_marked_count(problem) == marked_count(problem)
 
 
-def first_overlaps(problem, count):
-    return np.fromiter(grover_overlaps(problem), dtype=np.float64, count=count)
+@pytest.mark.parametrize("marked", [(), (5,), (0, 1, 2, 3, 4, 6, 7)])
+def test_overlaps_are_an_array_of_the_requested_length(marked):
+    # N = 8 with M = 1 or its complement M = 7: a(d) = T_d(3/4) and (-1)**d * T_d(3/4).
+    problem = GroverProblem(3, ExplicitSetOracle(3, marked))
+    for count in (0, 1, 4):
+        got = grover_overlaps(problem, count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+    expected = {0: [1.0, 1.0, 1.0, 1.0], 1: [1.0, 0.75, 0.125, -0.5625],
+                7: [1.0, -0.75, 0.125, 0.5625]}[len(marked)]
+    assert grover_overlaps(problem, 4).tolist() == expected
 
 
 @st.composite
@@ -234,7 +244,7 @@ def test_overlap_walk_is_cosine_of_grover_angle(case):
     problem = GroverProblem(n, ExplicitSetOracle(n, marked))
     theta = grover_angle(problem.N, len(marked)).theta
     expected = np.cos(np.arange(128) * theta)
-    assert np.max(np.abs(first_overlaps(problem, 128) - expected)) < 1e-12
+    assert np.max(np.abs(grover_overlaps(problem, 128) - expected)) < 1e-12
 
 
 @given(st.integers(min_value=1, max_value=8).flatmap(
@@ -243,8 +253,8 @@ def test_mask_and_set_oracles_give_identical_overlaps(case):
     n, mask = case
     pattern = BitPatternOracle(n, mask)
     explicit = ExplicitSetOracle(n, tuple(int(i) for i in marked_indices(pattern)))
-    assert np.array_equal(first_overlaps(GroverProblem(n, pattern), 128),
-                          first_overlaps(GroverProblem(n, explicit), 128))
+    assert np.array_equal(grover_overlaps(GroverProblem(n, pattern), 128),
+                          grover_overlaps(GroverProblem(n, explicit), 128))
 
 
 # The largest |a(d) - exact| allowed of the engine, fixed before measuring.
@@ -274,7 +284,7 @@ def exact_cases():
 def test_overlaps_match_exact_reference():
     for oracle, M in exact_cases():
         count = 1 << 12 if oracle.n <= 12 else 1 << 10
-        got = first_overlaps(GroverProblem(oracle.n, oracle), count)
+        got = grover_overlaps(GroverProblem(oracle.n, oracle), count)
         exact = dense_ref.exact_overlaps(oracle.n, M, count)
         assert np.max(np.abs(got - exact)) < EXACT_BOUND, (oracle, M)
 
@@ -294,7 +304,7 @@ def test_vector_walk_matches_engine(n, marked):
     problem = GroverProblem(n, ExplicitSetOracle(n, marked))
     walk = dense_ref.walk_overlaps(problem, 512)
     assert np.max(np.abs(walk - dense_ref.exact_overlaps(n, len(marked), 512))) < EXACT_BOUND
-    assert np.max(np.abs(walk - first_overlaps(problem, 512))) < EXACT_BOUND
+    assert np.max(np.abs(walk - grover_overlaps(problem, 512))) < EXACT_BOUND
 
 
 @pytest.mark.parametrize("oracle,M", [
@@ -306,5 +316,5 @@ def test_vector_walk_matches_engine(n, marked):
 def test_overlaps_stay_exact_at_large_n(oracle, M):
     # With c = 1 - 2M/N within 1e-6 of +-1, 2c*a(d) - a(d-1) computed as
     # written loses digits; at n = 22, d < 4096 it is off by 2.6e-12.
-    got = first_overlaps(GroverProblem(22, oracle), 1 << 12)
+    got = grover_overlaps(GroverProblem(22, oracle), 1 << 12)
     assert np.max(np.abs(got - dense_ref.exact_overlaps(22, M, 1 << 12))) < EXACT_BOUND

@@ -204,6 +204,7 @@ def test_resource_cap_names_width(monkeypatch):
 
 def test_sampled_mode_counts_and_determinism():
     problem = GroverProblem(3, ExplicitSetOracle(3, (7,)))
+    assert PEAConfig(t=1).seed == 0
     config = PEAConfig(t=3, shots=1024, seed=5)
     res = run_pea(problem, config)
     assert res.histogram.sum() == 1024

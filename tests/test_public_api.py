@@ -25,7 +25,7 @@ MODULE_ONLY = {
                     "register_probabilities"],
     "grover": ["apply_grover", "controlled_grover_power", "build_eigenstate"],
     "pea": ["inverse_qft", "pea_state"],
-    "simple_count": ["step_state", "step_probability_one"],
+    "simple_count": ["step_state"],
     "analytic": ["circuit_state_closed_form"],
     "oracles": ["marked_indices"],
 }

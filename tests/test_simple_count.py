@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from qcount.analytic import p1_exact
 from qcount.grover import GroverProblem, grover_angle, marked_count
-from qcount.oracles import BitPatternOracle, ExplicitSetOracle
-from qcount.statevector import ResourceLimitError, derive_seed, sample_bit
+from qcount.oracles import BitPatternOracle, ExplicitSetOracle, PrefixOracle
+from qcount.statevector import ResourceLimitError, derive_seed, probability_of_one, sample_bit
 from qcount.simple_count import (
     CountingConfig,
     default_max_k,
@@ -18,12 +18,17 @@ from qcount.simple_count import (
     postprocess_arccos,
     postprocess_halfangle,
     run_simple_count,
-    step_probability_one,
+    step_state,
 )
 
 
 def first_m_problem(n, M):
     return GroverProblem(n, ExplicitSetOracle(n, tuple(range(M))))
+
+
+def simulated_p1(problem, k):
+    """p1 of measurement step k from the gate-level (n+1)-qubit circuit."""
+    return probability_of_one(step_state(problem, k), problem.n)
 
 
 def test_exact_run_large_space():
@@ -145,6 +150,11 @@ def test_postprocess_clamps_out_of_range(p):
     theta, m_hat = postprocess_arccos(p, 1, 8)
     assert 0.0 <= theta <= math.pi / 2
     assert 0.0 <= m_hat <= 8.0
+    # Unclamped, p < -1 takes sqrt of a negative and p > 1 (k = 0) takes acos past 1.
+    for k in (0, 1):
+        theta, m_hat = postprocess_halfangle(p, k, 8)
+        assert 0.0 <= theta <= math.pi
+        assert 0.0 <= m_hat <= 8.0
 
 
 def test_optimal_grover_iterations_examples():
@@ -152,6 +162,10 @@ def test_optimal_grover_iterations_examples():
     assert optimal_grover_iterations(grover_angle(4, 1).theta) == 1
     assert optimal_grover_iterations(grover_angle(8, 1).theta) == 2
     assert optimal_grover_iterations(math.pi) == 0
+    # (pi/theta - 1)/2 comes out 30.000000000000004; the snap keeps the ceiling at 30.
+    assert optimal_grover_iterations(math.pi / 61) == 30
+    # 4.2 is far from the integer it rounds to, so it is not snapped down to 4.
+    assert optimal_grover_iterations(math.pi / 9.4) == 5
     with pytest.raises(ValueError):
         optimal_grover_iterations(0.0)
 
@@ -206,7 +220,7 @@ def test_step_probability_matches_closed_form():
     problem = GroverProblem(3, ExplicitSetOracle(3, (7,)))
     angle = grover_angle(8, 1)
     for k in range(4):
-        assert abs(step_probability_one(problem, k) - p1_exact(k, angle)) < 1e-10
+        assert abs(simulated_p1(problem, k) - p1_exact(k, angle)) < 1e-10
 
 
 def test_oracle_forms_give_identical_traces():
@@ -259,6 +273,7 @@ def test_relaxed_threshold_halts_earlier():
 
 
 def test_config_validation():
+    assert CountingConfig().seed == 0
     with pytest.raises(ValueError):
         CountingConfig(threshold=0.0)
     with pytest.raises(ValueError):
@@ -283,7 +298,44 @@ def test_overlap_engine_matches_gate_level_reference():
             simulated = run_simple_count(problem, CountingConfig(engine="statevector"))
             assert simulated.k_final == run_simple_count(problem).k_final
             for step in simulated.trace:
-                assert abs(step.p1_hat - step_probability_one(problem, step.k)) < 1e-10
+                assert abs(step.p1_hat - simulated_p1(problem, step.k)) < 1e-10
+
+
+def doubling_map_cases():
+    """(n, M) with M = 1, 2, 3, N/4, N/4 + 1, N/2 - 1 and two seeded others, n = 2..23."""
+    rng = np.random.default_rng(1947)
+    for n in range(2, 24):
+        N = 1 << n
+        picks = {1, 2, 3, N // 4, N // 4 + 1, N // 2 - 1}
+        picks.update(int(M) for M in rng.integers(1, N // 2, 2))
+        yield from ((n, M) for M in sorted(picks) if 1 <= M < N // 2)
+
+
+def test_statevector_p1_follows_the_exact_doubling_map():
+    # p1(k) = sin^2(2**k * theta/2) is the map p <- 4p(1 - p) from p = M/N; in
+    # integers, a <- 4a(D - a) and D <- D**2 from a = M, D = N give p1(k) = a/D exactly.
+    for n, M in doubling_map_cases():
+        est = run_simple_count(GroverProblem(n, PrefixOracle(n, M)),
+                               CountingConfig(engine="statevector", threshold=1.0))
+        assert len(est.trace) == default_max_k(n) + 1 or est.trace[-1].p1_hat == 1.0
+        a, D = M, 1 << n
+        last_exact = halt_bound(D, M)
+        for step in est.trace:
+            tolerance = 1e-15 if step.k <= last_exact else 1e-10
+            assert abs(step.p1_hat - a / D) < tolerance, (n, M, step.k)
+            a, D = 4 * a * (D - a), D * D
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))),
+    st.floats(min_value=0.0, max_value=1.0))
+def test_doubling_map_stays_in_the_unit_interval(case, p):
+    # The statevector engine samples its p1 unclamped: the map keeps every double of [0, 1] there.
+    assert 0.0 <= 4.0 * p * (1.0 - p) <= 1.0
+    n, M = case
+    est = run_simple_count(GroverProblem(n, PrefixOracle(n, M)),
+                           CountingConfig(engine="statevector", threshold=1.0))
+    assert all(0.0 <= step.p1_hat <= 1.0 for step in est.trace)
 
 
 def test_statevector_width_cap_counts_measurement_qubit(monkeypatch):

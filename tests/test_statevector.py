@@ -170,12 +170,12 @@ def test_probability_of_one():
 
     # Full counting circuit, 8 states with one marked, one doubling step:
     # p1 = sin^2(theta) = 4*(M/N)*(1 - M/N) = 7/16.
-    from qcount.simple_count import step_probability_one
+    from qcount.simple_count import step_state
     from qcount.grover import GroverProblem
 
     problem = GroverProblem(3, ExplicitSetOracle(3, (7,)))
     expected = 4.0 * (1 / 8) * (1 - 1 / 8)
-    assert abs(step_probability_one(problem, 1) - expected) < 1e-10
+    assert abs(probability_of_one(step_state(problem, 1), 3) - expected) < 1e-10
     assert abs(expected - 0.4375) < 1e-15
 
 
