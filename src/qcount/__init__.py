@@ -35,7 +35,6 @@ from .simple_count import (
     halt_bound,
     optimal_grover_iterations,
     postprocess_arccos,
-    postprocess_halfangle,
     run_simple_count,
 )
 from .statevector import (
@@ -73,7 +72,6 @@ __all__ = [
     "pea_distribution",
     "pea_minimum_t",
     "postprocess_arccos",
-    "postprocess_halfangle",
     "required_t",
     "run_pea",
     "run_simple_count",

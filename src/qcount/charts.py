@@ -23,8 +23,6 @@ def _fmt(value: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -36,19 +34,16 @@ def line_chart(
     y_label: str,
     reference_y: float | None = None,
 ) -> str:
-    """Render series as an SVG line chart with an optional horizontal reference line."""
+    """Render series as an SVG line chart with an optional horizontal reference line.
+
+    The points must span two x values and reach a y above zero, as every repro figure does.
+    """
     xs = [x for s in series for x, _ in s.points]
     ys = [y for s in series for _, y in s.points]
     if reference_y is not None:
         ys.append(reference_y)
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys + [0.0]), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
     y_hi *= 1.05
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R

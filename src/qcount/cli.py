@@ -23,11 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .charts import Series, line_chart
-from .grover import GroverProblem, grover_angle, marked_count
+from .grover import ENGINES, GroverProblem, grover_angle, marked_count
 from .oracles import ExplicitSetOracle, PrefixOracle, parse_oracle
 from .pea import PEAConfig, PEAResult, mirror_outcome, pea_cost, run_pea
 from .simple_count import (
-    ENGINES,
     CountEstimate,
     CountingConfig,
     ensure_minority,

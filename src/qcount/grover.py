@@ -8,9 +8,11 @@ marked states.
 
 Both estimators depend on the oracle only through the overlap sequence
 a(d) = <s|G**d|s> = cos(d*theta), with |s> the uniform superposition, and
-so only through M. The statevector engine counts M by evaluating the oracle
-on every basis index; the controlled-power functions here simulate the
-circuits gate by gate and serve as references for the closed forms.
+so only through M. `engine_marked_count` is where the engines differ: the
+analytic engine takes the oracle's closed-form count, the statevector engine
+evaluates the oracle on every basis index. The controlled-power functions
+here simulate the circuits gate by gate and serve as references for the
+closed forms.
 """
 from __future__ import annotations
 
@@ -21,19 +23,27 @@ from typing import Sequence
 import numpy as np
 
 from .oracles import Oracle, basis_chunks, marked_indices
-from .statevector import Statevector, apply_diffusion, apply_phase_flip, controlled_apply
+from .statevector import Statevector, apply_diffusion, apply_phase_flip, check_width, controlled_apply
+
+ENGINES = ("analytic", "statevector")
+
+
+def check_shots_and_engine(shots: int, engine: str) -> None:
+    """The sampling and engine rules that every estimator config shares."""
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
 @dataclass(frozen=True)
 class GroverProblem:
-    """Search-space width and oracle for one counting problem."""
+    """Search-space width and oracle for one counting problem (every oracle has n >= 1)."""
 
     n: int
     oracle: Oracle
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.oracle.n != self.n:
             raise ValueError(
                 f"oracle is defined on {self.oracle.n} qubits, problem has {self.n}"
@@ -92,12 +102,6 @@ def controlled_grover_power(
     return state
 
 
-def enumerated_marked_count(problem: GroverProblem) -> int:
-    """M from the oracle evaluated on every basis index, block by block (`basis_chunks`), not
-    from its `count()`, so the statevector engine checks the oracle's closed-form count."""
-    return sum(int(np.count_nonzero(problem.oracle.select(xs))) for xs in basis_chunks(problem.n))
-
-
 def build_eigenstate(problem: GroverProblem, sign: int) -> Statevector:
     """Eigenstate of G with eigenvalue exp(+i*theta) (sign=+1) or exp(-i*theta) (sign=-1).
 
@@ -119,3 +123,13 @@ def build_eigenstate(problem: GroverProblem, sign: int) -> Statevector:
 def marked_count(problem: GroverProblem) -> int:
     """Number of marked basis states M, in closed form from the oracle."""
     return problem.oracle.count()
+
+
+def engine_marked_count(problem: GroverProblem, engine: str, circuit_qubits: int) -> int:
+    """M as the engine finds it: the oracle's `count()` (analytic), or, for a circuit of
+    ``circuit_qubits`` within the dense-simulation cap, the oracle evaluated on every basis
+    index block by block (`basis_chunks`), which checks the closed-form count (statevector)."""
+    if engine == "analytic":
+        return marked_count(problem)
+    check_width(circuit_qubits)
+    return sum(int(np.count_nonzero(problem.oracle.select(xs))) for xs in basis_chunks(problem.n))

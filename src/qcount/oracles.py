@@ -10,7 +10,6 @@ states (`count`) and widens itself to n+1 qubits with the same count
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -50,11 +49,6 @@ class ExplicitSetOracle:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "_array", np.asarray(idx, dtype=np.int64))
 
-    def is_marked(self, x: int) -> bool:
-        _check_index(x, self.n)
-        pos = bisect_left(self.indices, x)
-        return pos < len(self.indices) and self.indices[pos] == x
-
     def select(self, xs: np.ndarray) -> np.ndarray:
         return np.isin(xs, self._array)
 
@@ -79,10 +73,6 @@ class BitPatternOracle:
         _check_n(self.n)
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask:#x} does not fit in {self.n} bits")
-
-    def is_marked(self, x: int) -> bool:
-        _check_index(x, self.n)
-        return (x & self.mask) == self.mask
 
     def select(self, xs: np.ndarray) -> np.ndarray:
         return (xs & self.mask) == self.mask
@@ -109,10 +99,6 @@ class PrefixOracle:
         if self.stop > 1 << self.n:
             # The first index of range(stop) that does not fit, as the set oracle reports it.
             _check_index(1 << self.n, self.n)
-
-    def is_marked(self, x: int) -> bool:
-        _check_index(x, self.n)
-        return x < self.stop
 
     def select(self, xs: np.ndarray) -> np.ndarray:
         return xs < self.stop

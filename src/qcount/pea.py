@@ -6,9 +6,9 @@ accumulated phase back to a basis state, and measuring the register yields
 either j ~ phi * 2**t or its mirror (2**t - j), both encoding the same M.
 
 Both engines take the outcome distribution from the closed form
-`pea_distribution` in theta; the statevector engine counts M by evaluating
-the oracle on every basis index. `pea_state` simulates the full
-(n+t)-qubit circuit and is kept as the gate-level reference.
+`pea_distribution` in theta, with M from `grover.engine_marked_count`.
+`pea_state` simulates the full (n+t)-qubit circuit and is kept as the
+gate-level reference.
 """
 from __future__ import annotations
 
@@ -21,18 +21,20 @@ import numpy as np
 from .analytic import pea_distribution
 from .grover import (
     GroverProblem,
+    check_shots_and_engine,
     controlled_grover_power,
-    enumerated_marked_count,
+    engine_marked_count,
     grover_angle,
     marked_count,
 )
-from .simple_count import check_shots_and_engine, halt_bound
+from .simple_count import halt_bound
 from .statevector import (
     _MASK64,
     Statevector,
     _check_register,
+    _register_major,
+    _tensor,
     apply_hadamard,
-    check_width,
     init_basis,
 )
 
@@ -109,15 +111,9 @@ def inverse_qft(state: Statevector, register: Sequence[int]) -> Statevector:
     basis |j> maps back to |j>.
     """
     _check_register(state, register)
-    n = state.num_qubits
-    width = len(register)
-    tensor = state.amplitudes.reshape((2,) * n)
-    reg_axes = [n - 1 - q for q in reversed(register)]
-    other_axes = [a for a in range(n) if a not in set(reg_axes)]
-    perm = other_axes + reg_axes
-    stacked = np.transpose(tensor, perm).reshape(-1, 1 << width)
-    stacked = np.fft.fft(stacked, axis=1) / math.sqrt(1 << width)
-    back = stacked.reshape((2,) * n)
+    stacked, perm = _register_major(_tensor(state), register)
+    stacked = np.fft.fft(stacked, axis=1) / math.sqrt(1 << len(register))
+    back = stacked.reshape((2,) * state.num_qubits)
     state.amplitudes = np.transpose(back, np.argsort(perm)).reshape(-1)
     return state
 
@@ -177,10 +173,8 @@ def run_pea(problem: GroverProblem, config: PEAConfig) -> PEAResult:
         raise ValueError(
             f"marked fraction {M}/{N} is a majority; apply ensure_minority first"
         )
-    if config.engine == "statevector":
-        # The cap counts the control register, as the simulated circuit does.
-        check_width(problem.n + config.t)
-        M = enumerated_marked_count(problem)
+    # The statevector cap counts the control register, as the simulated circuit does.
+    M = engine_marked_count(problem, config.engine, problem.n + config.t)
     probs = pea_distribution(config.t, grover_angle(N, M))
 
     if config.shots > 0:

@@ -8,10 +8,10 @@ threshold; classical post-processing inverts that step's p(k) = p0 - p1 =
 cos(2**k * theta) back to theta and M = N*sin^2(theta/2).
 
 Step k's p1 is (1 - a(2**k))/2 = sin^2(2**k * theta/2), a(d) = <s|G**d|s>,
-evaluated from theta. The engines differ only in where M comes from: the
-oracle's own count (analytic) or the oracle evaluated on every basis index
-(statevector). `step_state` simulates the full (n+1)-qubit circuit and is
-kept as the gate-level reference.
+evaluated from theta. The engines differ only in where M comes from
+(`grover.engine_marked_count`): the oracle's own count (analytic) or the
+oracle evaluated on every basis index (statevector). `step_state` simulates
+the full (n+1)-qubit circuit and is kept as the gate-level reference.
 """
 from __future__ import annotations
 
@@ -21,29 +21,19 @@ from dataclasses import dataclass
 from .analytic import p1_exact
 from .grover import (
     GroverProblem,
+    check_shots_and_engine,
     controlled_grover_power,
-    enumerated_marked_count,
+    engine_marked_count,
     grover_angle,
     marked_count,
 )
 from .statevector import (
     Statevector,
     apply_hadamard,
-    check_width,
     derive_seed,
     init_basis,
     sample_bit,
 )
-
-ENGINES = ("analytic", "statevector")
-
-
-def check_shots_and_engine(shots: int, engine: str) -> None:
-    """The sampling and engine rules that every estimator config shares."""
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
 
 @dataclass
@@ -103,10 +93,6 @@ def halt_bound(N: int, M: int) -> int:
     return (((N - 1) // M).bit_length() + 1) // 2
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(hi, max(lo, value))
-
-
 def postprocess_arccos(p_k: float, k: int, N: int) -> tuple[float, float]:
     """Invert p(k) = cos(2**k * theta) by arccos; returns (theta_hat, m_hat).
 
@@ -114,19 +100,8 @@ def postprocess_arccos(p_k: float, k: int, N: int) -> tuple[float, float]:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    p = _clamp(p_k, -1.0, 1.0)
-    theta = math.acos(p) / (2.0 ** k)
+    theta = math.acos(min(1.0, max(-1.0, p_k))) / (2.0 ** k)
     return theta, N * math.sin(0.5 * theta) ** 2
-
-
-def postprocess_halfangle(p_k: float, k: int, N: int) -> tuple[float, float]:
-    """Invert p(k) by k half-angle steps p(j-1) = sqrt((1+p(j))/2); returns (theta_hat, m_hat)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    p = _clamp(p_k, -1.0, 1.0)
-    for _ in range(k):
-        p = math.sqrt(0.5 * (1.0 + p))
-    return math.acos(p), N * 0.5 * (1.0 - p)
 
 
 def optimal_grover_iterations(theta: float) -> int:
@@ -189,10 +164,8 @@ def run_simple_count(problem: GroverProblem, config: CountingConfig | None = Non
         raise ValueError(
             f"marked fraction {M}/{N} is not a minority; apply ensure_minority first"
         )
-    if config.engine == "statevector":
-        # The cap counts the measurement qubit, as the simulated circuit does.
-        check_width(problem.n + 1)
-        M = enumerated_marked_count(problem)
+    # The statevector cap counts the measurement qubit, as the simulated circuit does.
+    M = engine_marked_count(problem, config.engine, problem.n + 1)
     angle = grover_angle(N, M)
 
     trace: list[StepOutcome] = []

@@ -92,8 +92,6 @@ def _tensor(state: Statevector) -> np.ndarray:
 
 def init_basis(num_qubits: int, basis_index: int) -> Statevector:
     """Statevector prepared in the computational basis state ``|basis_index>``."""
-    if num_qubits < 1:
-        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     check_width(num_qubits)
     if not 0 <= basis_index < (1 << num_qubits):
         raise ValueError(
@@ -113,6 +111,17 @@ def apply_hadamard(state: Statevector, q: int) -> Statevector:
     view[0] = (a0 + a1) * _SQRT1_2
     view[1] = (a0 - a1) * _SQRT1_2
     return state
+
+
+def _register_major(tensor: np.ndarray, register: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """The tensor view as rows of 2**len(register) entries, one row per configuration of
+    the other qubits and entry x in a row the register value x (register[i] -> bit i),
+    with the axis permutation that made it."""
+    n = tensor.ndim
+    reg_axes = [n - 1 - q for q in reversed(register)]
+    other_axes = [a for a in range(n) if a not in set(reg_axes)]
+    perm = other_axes + reg_axes
+    return np.transpose(tensor, perm).reshape(-1, 1 << len(register)), perm
 
 
 def _register_subindex(dim: int, register: Sequence[int]) -> np.ndarray:
@@ -181,11 +190,7 @@ def probability_of_one(state: Statevector, q: int) -> float:
 def register_probabilities(state: Statevector, register: Sequence[int]) -> np.ndarray:
     """Marginal outcome distribution of the register (register[i] -> bit i of the outcome)."""
     _check_register(state, register)
-    n = state.num_qubits
-    probs = (np.abs(_tensor(state)) ** 2)
-    reg_axes = [n - 1 - q for q in reversed(register)]
-    other_axes = [a for a in range(n) if a not in set(reg_axes)]
-    stacked = np.transpose(probs, other_axes + reg_axes).reshape(-1, 1 << len(register))
+    stacked, _ = _register_major(np.abs(_tensor(state)) ** 2, register)
     return stacked.sum(axis=0)
 
 

@@ -7,6 +7,8 @@ the overlaps), deliberately not reusing the package's slicing/tensor code
 paths or its closed forms. Qubit 0 is the least-significant index bit,
 matching the package convention.
 """
+import math
+
 import numpy as np
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -147,3 +149,14 @@ def mirror_pairs_loop(fractions: np.ndarray, t: int) -> tuple:
         prob = float(fractions[lo]) if hi == lo else float(fractions[lo] + fractions[hi])
         pairs.append((lo, hi, prob))
     return tuple(pairs)
+
+
+def postprocess_halfangle(p_k: float, k: int, N: int) -> tuple[float, float]:
+    """(theta_hat, m_hat) from p(k) = cos(2**k * theta) by k half-angle steps
+    p(j-1) = sqrt((1 + p(j))/2), a second route beside the package's arccos
+    inversion. p(k) is clamped to [-1, 1] first, as finite-shot estimates may
+    fall outside it."""
+    p = min(1.0, max(-1.0, p_k))
+    for _ in range(k):
+        p = math.sqrt(0.5 * (1.0 + p))
+    return math.acos(p), N * 0.5 * (1.0 - p)

@@ -22,11 +22,12 @@ from qcount.simple_count import (
     CountingConfig,
     halt_bound,
     postprocess_arccos,
-    postprocess_halfangle,
     run_simple_count,
     step_state,
 )
 from qcount.statevector import register_probabilities
+
+from dense_ref import postprocess_halfangle
 
 
 @contextmanager

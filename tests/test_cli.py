@@ -346,9 +346,10 @@ SELFTEST_FAULTS = {
     "build_eigenstate": ("grover", "build_eigenstate",
                          lambda build: lambda problem, sign: build(problem, -sign),
                          "Grover eigenphase"),
-    "enumerated_marked_count": ("simple_count", "enumerated_marked_count",
-                                lambda count: lambda problem: count(problem) + 1,
-                                "closed form matches simulation"),
+    "engine_marked_count": ("simple_count", "engine_marked_count",
+                            lambda count: lambda problem, engine, qubits:
+                                count(problem, engine, qubits) + (engine == "statevector"),
+                            "closed form matches simulation"),
     "pea_distribution": ("pea", "pea_distribution",
                          lambda dist: lambda t, angle: dist(t, angle) * 1.001,
                          "estimation engines agree + pairing symmetry"),

@@ -9,7 +9,7 @@ from qcount.grover import (
     apply_grover,
     build_eigenstate,
     controlled_grover_power,
-    enumerated_marked_count,
+    engine_marked_count,
     grover_angle,
     marked_count,
 )
@@ -23,6 +23,11 @@ from qcount.oracles import (
 from qcount.statevector import Statevector, apply_hadamard, init_basis, probability_of_one
 
 import dense_ref
+
+
+def enumerated_marked_count(problem):
+    """M as the statevector engine finds it, by evaluating the oracle on every basis index."""
+    return engine_marked_count(problem, "statevector", problem.n)
 
 
 def uniform(n):
@@ -202,6 +207,15 @@ def test_controlled_power_full_circuit_probability():
     apply_hadamard(state, 3)
     expected = math.sin(4 * angle.theta / 2) ** 2
     assert abs(probability_of_one(state, 3) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("n,oracle", [
+    (3, ExplicitSetOracle(4, (1,))),
+    (0, ExplicitSetOracle(1, ())),  # every oracle has n >= 1, so this check refuses n = 0 too
+], ids=["wider_oracle", "zero_width_problem"])
+def test_problem_refuses_an_oracle_of_another_width(n, oracle):
+    with pytest.raises(ValueError, match=f"defined on {oracle.n} qubits, problem has {n}$"):
+        GroverProblem(n, oracle)
 
 
 def test_marked_count_examples():

@@ -14,7 +14,6 @@ RUN_API = [
     "p1_exact", "pea_distribution",
     "CountEstimate", "CountingConfig", "StepOutcome", "run_simple_count", "ensure_minority",
     "halt_bound", "default_max_k", "optimal_grover_iterations", "postprocess_arccos",
-    "postprocess_halfangle",
     "PEAConfig", "PEAResult", "run_pea", "pea_cost", "pea_minimum_t", "required_t",
     "ResourceLimitError", "derive_seed", "max_qubits", "sample_bit",
 ]

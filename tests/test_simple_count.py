@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcount.analytic import p1_exact
+from qcount.analytic import circuit_state_closed_form, p1_exact
 from qcount.grover import GroverProblem, grover_angle, marked_count
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle, PrefixOracle
 from qcount.statevector import ResourceLimitError, derive_seed, probability_of_one, sample_bit
@@ -16,10 +16,11 @@ from qcount.simple_count import (
     halt_bound,
     optimal_grover_iterations,
     postprocess_arccos,
-    postprocess_halfangle,
     run_simple_count,
     step_state,
 )
+
+from dense_ref import postprocess_halfangle
 
 
 def first_m_problem(n, M):
@@ -155,6 +156,17 @@ def test_postprocess_clamps_out_of_range(p):
         theta, m_hat = postprocess_halfangle(p, k, 8)
         assert 0.0 <= theta <= math.pi
         assert 0.0 <= m_hat <= 8.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: p1_exact(-1, grover_angle(8, 1)),
+    lambda: circuit_state_closed_form(-1, grover_angle(8, 1)),
+    lambda: postprocess_arccos(0.0, -1, 8),
+    lambda: step_state(first_m_problem(3, 1), -1),
+], ids=["p1_exact", "circuit_state_closed_form", "postprocess_arccos", "step_state"])
+def test_negative_step_is_refused(call):
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        call()
 
 
 def test_optimal_grover_iterations_examples():
