@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from .grover import GroverAngle
+from .oracles import basis_chunks
 
 _SIN_EPS = 1e-15
 
@@ -62,9 +63,13 @@ def pea_distribution(t: int, angle: GroverAngle) -> np.ndarray:
 
     The register reads out the Grover eigenphase, which is +/-theta with
     equal weight, so the distribution is the equal mixture of the
-    estimation kernels centred at phi and 1 - phi.
+    estimation kernels centred at phi and 1 - phi. It is evaluated in the
+    enumeration blocks of `basis_chunks`, so its temporaries stay block-sized.
     """
     if not 1 <= t <= 24:
         raise ValueError(f"t must be in [1, 24], got {t}")
-    j = np.arange(1 << t, dtype=np.float64)
-    return 0.5 * (_phase_kernel(t, angle.phi, j) + _phase_kernel(t, 1.0 - angle.phi, j))
+    out = np.empty(1 << t)
+    for j in basis_chunks(t):
+        kernels = _phase_kernel(t, angle.phi, j) + _phase_kernel(t, 1.0 - angle.phi, j)
+        out[j[0]:j[0] + j.size] = 0.5 * kernels
+    return out

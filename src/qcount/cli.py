@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 invalid arguments, spec or output path, 3 resource cap 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -24,7 +25,7 @@ import numpy as np
 
 from .charts import Series, line_chart
 from .grover import ENGINES, GroverProblem, grover_angle, marked_count
-from .oracles import ExplicitSetOracle, PrefixOracle, parse_oracle
+from .oracles import _CHUNK, ExplicitSetOracle, PrefixOracle, parse_oracle
 from .pea import PEAConfig, PEAResult, mirror_outcome, pea_cost, run_pea
 from .simple_count import (
     CountEstimate,
@@ -62,35 +63,43 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """Context manager giving the file ``--out`` names, or stdout when it is unset."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)`` with each numpy array as its ``.tolist()``, at indent ``pad``.
+def _write_json(obj, fh, pad: str = "\n") -> None:
+    """Write ``json.dumps(obj, indent=2)`` to fh, numpy arrays as ``.tolist()``, at indent ``pad``.
 
     With ``indent`` set, json encodes in pure Python, one value per call. A
-    non-empty 1-D array, plain or a record array of numeric fields, takes one
-    call of json's C encoder instead and is re-indented with ``str.replace``:
-    a number's text holds no ``", "`` or bracket. A dict holding an array or a
-    dict is written key by key (its keys must be str); any other value takes
-    one ``json.dumps(..., indent=2)``.
+    non-empty 1-D array, plain or a record array of numeric fields, goes through
+    json's C encoder instead, one call per block of at most `_CHUNK` numbers,
+    with the newline and indent in its item separator; a record array's rows
+    are then re-indented with ``str.replace``, as a number's text holds no
+    bracket. A dict holding an array or a dict is written key by key (its keys
+    must be str); any other value takes one ``json.dumps(..., indent=2)``.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray)) for v in obj.values()):
-        items = (f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-        return "{" + ",".join(items) + pad + "}"
-    if isinstance(obj, np.ndarray) and obj.dtype.names:
-        deep = inner + "  "
-        body = json.dumps(obj.tolist())[2:-2].replace(", ", "," + deep)
-        body = body.replace(f"],{deep}[", f"{inner}],{inner}[{deep}")
-        return f"[{inner}[{deep}{body}{inner}]{pad}]"
-    if isinstance(obj, np.ndarray):
-        return "[" + inner + json.dumps(obj.tolist())[1:-1].replace(", ", "," + inner) + pad + "]"
-    return json.dumps(obj, indent=2).replace("\n", pad)
+        fh.write("{")
+        for i, (k, v) in enumerate(obj.items()):
+            fh.write(f"{',' if i else ''}{inner}{json.dumps(k)}: ")
+            _write_json(v, fh, inner)
+        fh.write(pad + "}")
+    elif isinstance(obj, np.ndarray):
+        records = bool(obj.dtype.names)
+        deep = inner + "  " if records else inner
+        rows = _CHUNK // len(obj.dtype.names) if records else _CHUNK
+        fh.write("[")
+        for lo in range(0, obj.size, rows):
+            text = json.dumps(obj[lo:lo + rows].tolist(), separators=("," + deep, ": "))
+            if records:
+                text = f"[[{deep}{text[2:-2]}{inner}]]"
+                text = text.replace(f"],{deep}[", f"{inner}],{inner}[{deep}")
+            fh.write(f"{',' if lo else ''}{inner}{text[1:-1]}")
+        fh.write(pad + "]")
+    else:
+        fh.write(json.dumps(obj, indent=2).replace("\n", pad))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -197,12 +206,13 @@ def cmd_run(args) -> int:
     echo = _spec_echo(args, problem)
     result = _execute(args, problem, args.seed)
     header, to_json, to_cells = _READOUTS[args.algo]
-    if args.format == "json":
-        text = _json_text({"spec": echo, "result": to_json(result)}) + "\n"
-    else:
-        row = {**echo, **to_cells(result)}
-        text = _csv_text(header, [[row[key] for key in header]])
-    _write_text(text, args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            _write_json({"spec": echo, "result": to_json(result)}, fh)
+            fh.write("\n")
+        else:
+            row = {**echo, **to_cells(result)}
+            fh.write(_csv_text(header, [[row[key] for key in header]]))
     return 0
 
 
@@ -239,7 +249,8 @@ def cmd_sweep(args) -> int:
                **cells, "seed": seed, "wall_time_s": wall, "error": error}
         rows.append([row.get(key) for key in SWEEP_CSV_HEADER])
 
-    _write_text(_csv_text(SWEEP_CSV_HEADER, rows), args.out)
+    with _output(args.out) as fh:
+        fh.write(_csv_text(SWEEP_CSV_HEADER, rows))
     return 0
 
 

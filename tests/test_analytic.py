@@ -90,6 +90,18 @@ def test_pea_distribution_normalized_and_symmetric():
         assert np.max(np.abs(dist - mirrored)) < 1e-12
 
 
+@pytest.mark.parametrize("M", [0, 1, 3, 1 << 39])
+def test_pea_distribution_is_independent_of_its_blocks(M):
+    # M = 0 and M = N/2 (phase 1/4) put outcomes on the singular grid points.
+    angle = grover_angle(1 << 40, M)
+    for t in range(1, 13):
+        whole = pea_distribution(t, angle)
+        for chunk in (1, 3, (1 << t) - 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("qcount.oracles._CHUNK", chunk)
+                assert np.array_equal(pea_distribution(t, angle), whole), (t, chunk)
+
+
 def test_pea_distribution_degenerate_phases():
     assert abs(pea_distribution(3, grover_angle(8, 0))[0] - 1.0) < 1e-12
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import math
 import tracemalloc
@@ -16,8 +17,8 @@ from qcount.cli import (
     RUN_CSV_HEADER_SIMPLE,
     SWEEP_CSV_HEADER,
     _estimate_json,
-    _json_text,
     _pea_json,
+    _write_json,
     build_parser,
     main,
 )
@@ -194,6 +195,36 @@ def test_unwritable_run_output_exits_2(tmp_path, capsys):
         capsys, "run", "--algo", "simple", "--n", "3", "--oracle", "set:7", "--out", str(target),
     )
     assert code == 2 and err.startswith("error: ") and str(target) in err
+
+
+_LARGE_PEA = ("run", "--algo", "pea", "--n", "40", "--oracle", "mask:0xfffffffff0")
+
+
+def test_full_disk_run_output_exits_2(capsys):
+    # The t = 15 document fills many write buffers; t = 1 fails only when the file is closed.
+    for t in ("1", "15"):
+        code, _, err = run_cli(capsys, *_LARGE_PEA, "--t", t, "--out", "/dev/full")
+        assert (code, err) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_pea_json_to_stdout_and_out_file_are_byte_identical(tmp_path, capsysbinary):
+    target = tmp_path / "run.json"
+    assert main([*_LARGE_PEA, "--t", "15", "--out", str(target)]) == 0
+    assert main([*_LARGE_PEA, "--t", "15"]) == 0
+    assert capsysbinary.readouterr().out == target.read_bytes()
+
+
+def test_large_pea_run_streams_in_bounded_memory(tmp_path, capsys):
+    # A t = 16 document is 4.5 MB; its arrays take 1.5 MiB. Built as one string
+    # it peaked at 11.5 MiB traced; written and evaluated in blocks, at 4.7 MiB.
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, *_LARGE_PEA, "--t", "16", "--out", str(tmp_path / "run.json"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.5 * 4.7 * 2**20
 
 
 def test_repro_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
@@ -453,15 +484,24 @@ def _indented_dumps(obj):
     return json.dumps(obj, indent=2, default=lambda array: array.tolist())
 
 
+def _json_text(obj):
+    buf = io.StringIO()
+    _write_json(obj, buf)
+    return buf.getvalue()
+
+
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(_json_arrays, st.dictionaries(st.text(max_size=4), _json_scalars, max_size=3),
        st.text(max_size=4))
 def test_json_text_matches_indented_dumps(array, fields, key):
     # nan/inf/-0.0, subnormals, values near 1e+-308 and the int64 extremes,
     # alone and nested in a run document among strings that look like separators.
-    assert _json_text(array) == _indented_dumps(array)
-    wrapped = {"spec": {"n": 1}, "result": {**fields, "cost": 7, key: array}}
-    assert _json_text(wrapped) == _indented_dumps(wrapped)
+    # Blocks of 3 numbers (one record of 3 fields) put block edges inside the array.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("qcount.cli._CHUNK", 3)
+        assert _json_text(array) == _indented_dumps(array)
+        wrapped = {"spec": {"n": 1}, "result": {**fields, "cost": 7, key: array}}
+        assert _json_text(wrapped) == _indented_dumps(wrapped)
 
 
 @pytest.mark.parametrize("engine", ["analytic", "statevector"])

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcount.analytic import pea_distribution
-from qcount.cli import _json_text, _pea_json
+from qcount.cli import _pea_json, _write_json
 from qcount.grover import GroverProblem, grover_angle
 from qcount.oracles import BitPatternOracle, ExplicitSetOracle
 from qcount.pea import (
@@ -305,7 +306,9 @@ def test_mirror_pairs_match_reference_loop(engine):
             reference = dense_ref.mirror_pairs_loop(fractions, t)
             assert np.array_equal(pairs, [prob for _, _, prob in reference])
             assert _best_pair(pairs, t) == max(reference, key=lambda pair: pair[2])[:2]
-        triples = json.loads(_json_text(_pea_json(exact)))["paired_prob"]
+        buf = io.StringIO()
+        _write_json(_pea_json(exact), buf)
+        triples = json.loads(buf.getvalue())["paired_prob"]
         assert triples == [list(pair) for pair in dense_ref.mirror_pairs_loop(exact.histogram, t)]
         assert {tuple(map(type, triple)) for triple in triples} == {(int, int, float)}
 
